@@ -1,15 +1,23 @@
 """Solver loops with exact evaluation accounting.
 
-Every runner charges one evaluation per sampled solution, checks its stop
-condition after every single evaluation, and is bit-for-bit deterministic in
-(instance, parameters, seed).
+Every runner charges one evaluation per sampled solution to a _Ledger, which
+checks the stop condition after every single evaluation, and is bit-for-bit
+deterministic in (instance, parameters, seed). Mutation randomness comes in
+blocks from a MutationStream. An offspring is scored by its load change
+against its parent, and its bits are copied or flipped only once it is kept;
+an offspring with no flipped bit is charged but not computed (Carvalho Pinto
+and Doerr, "Towards a More Practice-Aware Runtime Analysis of Evolutionary
+Algorithms", 2018).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -19,12 +27,14 @@ from .core import (
     ContractViolationError,
     EvaluationCounter,
     Instance,
+    flip_in_place,
     is_local_optimum,
+    makespan_after,
 )
-from .operators import AgedIndividual, hypermutate_fcm, one_bit_flip, sbm
+from .operators import MutationStream, flipped, hypermutate_fcm
 
 Rng = np.random.Generator
-Mutate = Callable[[Instance, Assignment, Rng], Assignment]
+_fitness = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -72,109 +82,101 @@ def _rng(seed: int) -> Rng:
 
 def _random_assignment(inst: Instance, rng: Rng) -> Assignment:
     bits = rng.integers(0, 2, size=inst.n).tolist()
-    load2 = sum(t for t, b in zip(inst.p, bits) if b)
+    load2 = sum(compress(inst.p, bits))
     return Assignment(bits=bits, load1=inst.W - load2, load2=load2)
 
 
-def _termination(best: int, target: int | None, ratio_target: int | None) -> str | None:
-    if target is not None and best <= target:
-        return "target"
-    if ratio_target is not None and best <= ratio_target:
-        return "ratio"
-    return None
+class _Ledger:
+    """One trial's evaluation account: the count, the optional counter, the
+    trace, best-so-far, the event log, and the stop condition."""
 
+    def __init__(
+        self,
+        inst: Instance,
+        stop: StopCondition,
+        optimum: int | None,
+        counter: EvaluationCounter | None,
+        record_trace: bool,
+    ) -> None:
+        self.inst = inst
+        self.budget = stop.max_evaluations
+        self.target, self.ratio_target = stop.resolve_targets(optimum)
+        self.counter = counter
+        self.trace: list[int] | None = [] if record_trace else None
+        self.log: list[tuple[int, str]] = []
+        self.evals = 0
+        self.best_f = inst.W + 1  # above every makespan
+        self.best_x: Assignment | None = None
+        self.reason: str | None = None
 
-def _finish(
-    inst: Instance,
-    stop: StopCondition,
-    seed: int,
-    evals: int,
-    best_f: int,
-    best_x: Assignment,
-    terminated_by: str,
-    reinit_count: int | None,
-    log: list[tuple[int, str]],
-    trace: list[int] | None,
-) -> TrialResult:
-    if best_f < (inst.W + 1) // 2:
-        raise ContractViolationError("best makespan fell below W/2; accounting is broken")
-    if evals > stop.max_evaluations:
-        raise ContractViolationError("evaluation budget was exceeded")
-    return TrialResult(
-        seed=seed,
-        evaluations_used=evals,
-        best_makespan=best_f,
-        best_assignment=best_x,
-        terminated_by=terminated_by,
-        reinit_count=reinit_count,
-        stagnation_log=tuple(log),
-        fitness_trace=tuple(trace) if trace is not None else None,
-    )
+    @property
+    def running(self) -> bool:
+        return self.reason is None and self.evals < self.budget
+
+    def charge(self, *makespans: int) -> None:
+        """One evaluation per makespan given, in order."""
+        k = len(makespans)
+        self.evals += k
+        if self.counter is not None:
+            self.counter.add(k)
+        if self.trace is not None:
+            self.trace.extend(makespans)
+
+    def improved(self, x: Assignment, f: int) -> None:
+        """The search arrived at x, of makespan f: a start or a strict improvement.
+
+        Logs a local-optimum arrival, and takes x as best-so-far if f beats it.
+        The best is kept by reference, so a lineage that goes on changing x in
+        place through equal-makespan moves exports its final state.
+        """
+        if is_local_optimum(self.inst, x):
+            self.log.append((self.evals, "local_optimum"))
+        if f < self.best_f:
+            self.best_f, self.best_x = f, x
+            if self.target is not None and f <= self.target:
+                self.reason = "target"
+            elif self.ratio_target is not None and f <= self.ratio_target:
+                self.reason = "ratio"
+
+    def result(self, seed: int, reinit_count: int | None = None) -> TrialResult:
+        if self.best_x is None or self.best_f < (self.inst.W + 1) // 2:
+            raise ContractViolationError("best makespan fell below W/2; accounting is broken")
+        if self.evals > self.budget:
+            raise ContractViolationError("evaluation budget was exceeded")
+        return TrialResult(
+            seed=seed,
+            evaluations_used=self.evals,
+            best_makespan=self.best_f,
+            best_assignment=self.best_x,
+            terminated_by=self.reason or "budget",
+            reinit_count=reinit_count,
+            stagnation_log=tuple(self.log),
+            fitness_trace=tuple(self.trace) if self.trace is not None else None,
+        )
 
 
 def _climb(
-    inst: Instance,
-    x: Assignment,
-    fx: int,
-    rng: Rng,
-    mutate: Mutate,
-    evals: int,
-    seg_end: int,
-    target: int | None,
-    ratio_target: int | None,
-    counter: EvaluationCounter | None,
-    trace: list[int] | None,
-    log: list[tuple[int, str]],
-) -> tuple[Assignment, int, int, str | None]:
-    """Mutate-and-select with acceptance f(y) <= f(x) until seg_end evaluations."""
-    while evals < seg_end:
-        y = mutate(inst, x, rng)
-        fy = max(y.load1, y.load2)
-        evals += 1
-        if counter is not None:
-            counter.add()
-        if trace is not None:
-            trace.append(fy)
+    led: _Ledger, x: Assignment, draw: Callable[[], list[int]], seg_end: int
+) -> None:
+    """Mutate x in place, keeping offspring with f(y) <= f(x), until seg_end
+    evaluations or a target."""
+    inst = led.inst
+    fx = x.makespan
+    while led.evals < seg_end:
+        flips = draw()
+        if not flips:
+            led.charge(fx)
+            continue
+        fy = makespan_after(inst, x, flips)
+        led.charge(fy)
         if fy <= fx:
-            improved = fy < fx
-            x, fx = y, fy
-            if improved and is_local_optimum(inst, x):
-                log.append((evals, "local_optimum"))
-            reason = _termination(fx, target, ratio_target)
-            if reason is not None:
-                return x, fx, evals, reason
-    return x, fx, evals, None
-
-
-def _run_descent(
-    inst: Instance,
-    stop: StopCondition,
-    seed: int,
-    mutate: Mutate,
-    optimum: int | None,
-    counter: EvaluationCounter | None,
-    record_trace: bool,
-) -> TrialResult:
-    target, ratio_target = stop.resolve_targets(optimum)
-    rng = _rng(seed)
-    trace: list[int] | None = [] if record_trace else None
-    log: list[tuple[int, str]] = []
-    x = _random_assignment(inst, rng)
-    fx = max(x.load1, x.load2)
-    evals = 1
-    if counter is not None:
-        counter.add()
-    if trace is not None:
-        trace.append(fx)
-    if is_local_optimum(inst, x):
-        log.append((evals, "local_optimum"))
-    reason = _termination(fx, target, ratio_target)
-    if reason is None:
-        x, fx, evals, reason = _climb(
-            inst, x, fx, rng, mutate, evals, stop.max_evaluations,
-            target, ratio_target, counter, trace, log,
-        )
-    return _finish(inst, stop, seed, evals, fx, x, reason or "budget", None, log, trace)
+            for i in flips:
+                flip_in_place(inst, x, i)
+            if fy < fx:
+                fx = fy
+                led.improved(x, fx)
+                if led.reason is not None:
+                    return
 
 
 def run_one_one_ea(
@@ -187,7 +189,10 @@ def run_one_one_ea(
     record_trace: bool = False,
 ) -> TrialResult:
     """Single parent, standard bit mutation, accept offspring iff not worse."""
-    return _run_descent(inst, stop, seed, sbm, optimum, counter, record_trace)
+    return run_with_restarts(
+        "ea", inst, stop.max_evaluations, stop, seed,
+        optimum=optimum, counter=counter, record_trace=record_trace,
+    )
 
 
 def run_rls(
@@ -200,7 +205,10 @@ def run_rls(
     record_trace: bool = False,
 ) -> TrialResult:
     """Single parent, one uniformly chosen bit flip, accept iff not worse."""
-    return _run_descent(inst, stop, seed, one_bit_flip, optimum, counter, record_trace)
+    return run_with_restarts(
+        "rls", inst, stop.max_evaluations, stop, seed,
+        optimum=optimum, counter=counter, record_trace=record_trace,
+    )
 
 
 def run_ia_hyp(
@@ -217,35 +225,23 @@ def run_ia_hyp(
     A walk that finds no strict improvement flips all n bits and therefore
     hands back the complement, which ties and is accepted.
     """
-    target, ratio_target = stop.resolve_targets(optimum)
+    led = _Ledger(inst, stop, optimum, counter, record_trace)
     rng = _rng(seed)
-    trace: list[int] | None = [] if record_trace else None
-    log: list[tuple[int, str]] = []
     x = _random_assignment(inst, rng)
-    fx = max(x.load1, x.load2)
-    evals = 1
-    if counter is not None:
-        counter.add()
-    if trace is not None:
-        trace.append(fx)
-    if is_local_optimum(inst, x):
-        log.append((evals, "local_optimum"))
-    reason = _termination(fx, target, ratio_target)
-    while reason is None and evals < stop.max_evaluations:
-        y, walk = hypermutate_fcm(
-            inst, x, rng, counter, max_evals=stop.max_evaluations - evals
-        )
-        evals += walk.stopped_at
-        if trace is not None:
-            trace.extend(walk.fitness_after)
-        fy = max(y.load1, y.load2)
+    fx = x.makespan
+    led.charge(fx)
+    led.improved(x, fx)
+    while led.running:
+        y, walk = hypermutate_fcm(inst, x, rng, max_evals=led.budget - led.evals)
+        led.charge(*walk.fitness_after)
+        fy = walk.fitness_after[-1]
         if fy <= fx:
-            improved = fy < fx
-            x, fx = y, fy
-            if improved and is_local_optimum(inst, x):
-                log.append((evals, "local_optimum"))
-            reason = _termination(fx, target, ratio_target)
-    return _finish(inst, stop, seed, evals, fx, x, reason or "budget", None, log, trace)
+            # x takes y's state but keeps its identity, which the ledger's best holds
+            x.bits, x.load1, x.load2 = y.bits, y.load1, y.load2
+            if fy < fx:
+                fx = fy
+                led.improved(x, fx)
+    return led.result(seed)
 
 
 def run_mu_ea_ageing(
@@ -272,77 +268,64 @@ def run_mu_ea_ageing(
         raise ContractViolationError("mu must be at least 1")
     if tau < 1:
         raise ContractViolationError("tau must be at least 1")
-    target, ratio_target = stop.resolve_targets(optimum)
+    led = _Ledger(inst, stop, optimum, counter, record_trace)
     rng = _rng(seed)
-    trace: list[int] | None = [] if record_trace else None
-    log: list[tuple[int, str]] = []
-    budget = stop.max_evaluations
-    evals = 0
-    best_f: int | None = None
-    best_x: Assignment | None = None
+    stream = MutationStream(rng, inst.n)
+    # an individual is (fitness, birth generation, assignment), kept sorted by
+    # fitness so the worst are last; its age in generation g is g minus its
+    # birth, so ages need no per-generation update
+    population: list[tuple[int, int, Assignment]] = []
     reinits = 0
+    gen = 0
+    first_birth = 0  # no individual was born before this
 
-    def note_best(x: Assignment, f: int) -> None:
-        nonlocal best_f, best_x
-        if best_f is None or f < best_f:
-            best_f = f
-            best_x = x.copy()
-            if is_local_optimum(inst, x):
-                log.append((evals, "local_optimum"))
+    def refill() -> None:
+        while len(population) < mu and led.running:
+            x = _random_assignment(inst, rng)
+            f = x.makespan
+            led.charge(f)
+            if f < led.best_f:
+                led.improved(x, f)
+            insort(population, (f, gen, x), key=_fitness)
 
-    def fresh() -> AgedIndividual:
-        nonlocal evals
-        x = _random_assignment(inst, rng)
-        f = max(x.load1, x.load2)
-        evals += 1
-        if counter is not None:
-            counter.add()
-        if trace is not None:
-            trace.append(f)
-        note_best(x, f)
-        return AgedIndividual(x=x, fitness=f, age=0)
-
-    population: list[AgedIndividual] = []
-    reason: str | None = None
-    while len(population) < mu and reason is None and evals < budget:
-        population.append(fresh())
-        reason = _termination(best_f, target, ratio_target)
-
-    while reason is None and evals < budget:
-        for ind in population:
-            ind.age += 1
-        parent = population[int(rng.integers(0, len(population)))]
-        y = sbm(inst, parent.x, rng)
-        fy = max(y.load1, y.load2)
-        evals += 1
-        if counter is not None:
-            counter.add()
-        if trace is not None:
-            trace.append(fy)
-        note_best(y, fy)
-        age = 0 if fy < parent.fitness else parent.age
-        population.append(AgedIndividual(x=y, fitness=fy, age=age))
-        reason = _termination(best_f, target, ratio_target)
-        if reason is not None:
-            break
-        survivors = [ind for ind in population if ind.age < tau]
-        if not survivors:
-            reinits += 1
-            log.append((evals, "reinit"))
-        population = survivors
-        if len(population) > mu:
-            worst = max(ind.fitness for ind in population)
-            ties = [j for j, ind in enumerate(population) if ind.fitness == worst]
-            j = ties[int(rng.integers(0, len(ties)))] if len(ties) > 1 else ties[0]
-            population.pop(j)
-        while len(population) < mu and reason is None and evals < budget:
-            population.append(fresh())
-            reason = _termination(best_f, target, ratio_target)
-
-    assert best_f is not None and best_x is not None
-    return _finish(
-        inst, stop, seed, evals, best_f, best_x, reason or "budget", reinits, log, trace
-    )
+    refill()
+    while led.running:
+        gen += 1
+        fp, bp, xp = population[stream.below(len(population))]
+        flips = stream.sbm_flips()
+        fy = makespan_after(inst, xp, flips)
+        led.charge(fy)
+        y = xp  # the child shares its parent's assignment until it is kept
+        if fy < led.best_f:
+            y = flipped(inst, xp, flips)
+            led.improved(y, fy)
+            if led.reason is not None:
+                break
+        born = gen if fy < fp else bp
+        lives = gen - born < tau
+        if gen - first_birth >= tau:
+            population[:] = [ind for ind in population if gen - ind[1] < tau]
+            first_birth = min([ind[1] for ind in population], default=gen)
+            if not population and not lives:
+                reinits += 1
+                led.log.append((led.evals, "reinit"))
+        if lives and len(population) == mu:
+            # one of the mu + 1 goes: uniform among the worst, the child last
+            worst = population[-1][0] if population[-1][0] > fy else fy
+            lo = bisect_left(population, worst, key=_fitness)
+            ties = len(population) - lo + (fy == worst)
+            j = lo + stream.below(ties) if ties > 1 else lo
+            if j == len(population):
+                lives = False
+            else:
+                population.pop(j)
+        if lives:
+            if y is xp and flips:
+                y = flipped(inst, xp, flips)
+            insort(population, (fy, born, y), key=_fitness)
+        if len(population) < mu:
+            refill()
+    return led.result(seed, reinits)
 
 
 def run_with_restarts(
@@ -360,59 +343,27 @@ def run_with_restarts(
 
     Each segment starts from a fresh random solution (its evaluation counts
     toward the segment); the best solution over all segments is returned.
-    With restart_length equal to the whole budget this reproduces the base
-    algorithm exactly, draw for draw.
+    With restart_length equal to the whole budget this is the base algorithm,
+    which is how run_one_one_ea and run_rls run.
     """
-    if algo == "ea":
-        mutate: Mutate = sbm
-    elif algo == "rls":
-        mutate = one_bit_flip
-    else:
+    if algo not in ("ea", "rls"):
         raise ContractViolationError("restart wrapper supports algo 'ea' or 'rls'")
     if restart_length < 1:
         raise ContractViolationError("restart_length must be at least 1")
-    target, ratio_target = stop.resolve_targets(optimum)
+    led = _Ledger(inst, stop, optimum, counter, record_trace)
     rng = _rng(seed)
-    trace: list[int] | None = [] if record_trace else None
-    log: list[tuple[int, str]] = []
-    budget = stop.max_evaluations
-    evals = 0
-    best_f: int | None = None
-    best_x: Assignment | None = None
-    reason: str | None = None
-    while reason is None and evals < budget:
-        if evals > 0:
-            log.append((evals + 1, "restart"))
-        seg_start = evals
+    stream = MutationStream(rng, inst.n)
+    draw = stream.sbm_flips if algo == "ea" else stream.one_flip
+    while led.running:
+        if led.evals > 0:
+            led.log.append((led.evals + 1, "restart"))
+        seg_end = min(led.budget, led.evals + restart_length)
         x = _random_assignment(inst, rng)
-        fx = max(x.load1, x.load2)
-        evals += 1
-        if counter is not None:
-            counter.add()
-        if trace is not None:
-            trace.append(fx)
-        if is_local_optimum(inst, x):
-            log.append((evals, "local_optimum"))
-        owns_best = best_f is None or fx < best_f
-        if owns_best:
-            best_f = fx
-            best_x = x.copy()
-        reason = _termination(fx, target, ratio_target)
-        if reason is None:
-            seg_end = min(budget, seg_start + restart_length)
-            x, fx, evals, reason = _climb(
-                inst, x, fx, rng, mutate, evals, seg_end,
-                target, ratio_target, counter, trace, log,
-            )
-            # the owning segment keeps exporting its drift through equal-
-            # makespan moves, matching the plain runners' final state
-            if fx < best_f or owns_best:
-                best_f = fx
-                best_x = x.copy()
-    assert best_f is not None and best_x is not None
-    return _finish(
-        inst, stop, seed, evals, best_f, best_x, reason or "budget", None, log, trace
-    )
+        led.charge(x.makespan)
+        led.improved(x, x.makespan)
+        if led.reason is None:
+            _climb(led, x, draw, seg_end)
+    return led.result(seed)
 
 
 def restart_length_for_ratio(n: int, eps: Fraction | tuple[int, int]) -> int:

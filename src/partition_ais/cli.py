@@ -146,6 +146,11 @@ def _validate_algo_flags(args: argparse.Namespace) -> None:
         raise ParameterError("--restart-len only applies to restart algorithms")
 
 
+def _workers(args: argparse.Namespace) -> int:
+    """Worker processes: --threads, capped by the trial and the CPU count."""
+    return max(1, min(args.threads, args.trials, os.cpu_count() or 1))
+
+
 def _resolve_run_target(
     args: argparse.Namespace, inst: Instance
 ) -> tuple[StopCondition, int | None, str]:
@@ -201,7 +206,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ParameterError("run needs an instance: --in or --family")
     _validate_algo_flags(args)
     stop, optimum, target_desc = _resolve_run_target(args, inst)
-    workers = max(1, min(args.threads, args.trials))
+    workers = _workers(args)
     config = ExperimentConfig(
         instance=inst,
         algorithm=args.algo,
@@ -264,7 +269,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Ratio 1 pins each size's target to its own exact optimum.
         stop = StopCondition(args.budget, target_ratio=Fraction(1))
         target_desc = "makespan<=optimum"
-    workers = max(1, min(args.threads, args.trials))
+    workers = _workers(args)
     print(_config_line("sweep", [
         ("family", "gstar"),
         ("n_list", ",".join(str(n) for n in n_list)),

@@ -7,7 +7,6 @@ semantics are exact at any magnitude the generators allow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 _W_LIMIT = 1 << 128
 
@@ -32,11 +31,15 @@ class Instance:
     """Positive processing times sorted non-increasing.
 
     W is the exact total load; construction fails loudly if it does not fit
-    in 128 bits, so downstream accumulators never overflow silently.
+    in 128 bits, so downstream accumulators never overflow silently. n and W
+    are plain attributes set once, since the runner loops read them per
+    evaluation.
     """
 
     p: tuple[int, ...]
     meta: InstanceMeta = field(default_factory=InstanceMeta)
+    n: int = field(init=False, repr=False, compare=False)
+    W: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.p) < 1:
@@ -47,14 +50,8 @@ class Instance:
             raise ContractViolationError("processing times must be sorted non-increasing")
         if sum(self.p) >= _W_LIMIT:
             raise ContractViolationError("total load does not fit in 128 bits")
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    @cached_property
-    def W(self) -> int:
-        return sum(self.p)
+        object.__setattr__(self, "n", len(self.p))
+        object.__setattr__(self, "W", sum(self.p))
 
 
 @dataclass
@@ -123,6 +120,19 @@ def flip_in_place(inst: Instance, x: Assignment, i: int) -> Assignment:
         x.load1 -= t
         x.load2 += t
     return x
+
+
+def makespan_after(inst: Instance, x: Assignment, flips: list[int]) -> int:
+    """Makespan of x with the bits in flips toggled, from the load change alone.
+
+    x is left untouched; flips holds distinct valid indices.
+    """
+    p, bits = inst.p, x.bits
+    load2 = x.load2
+    for i in flips:
+        load2 += -p[i] if bits[i] else p[i]
+    load1 = inst.W - load2
+    return load1 if load1 > load2 else load2  # builtin max costs more than the rest
 
 
 def is_local_optimum(inst: Instance, x: Assignment) -> bool:

@@ -1,4 +1,4 @@
-"""Mutation and ageing primitives.
+"""Mutation primitives and the block-drawn mutation stream of the runners.
 
 The hypermutation walks a uniformly random permutation of all bit positions,
 evaluating after every flip and stopping at the first strict improvement.
@@ -34,15 +34,6 @@ class HypermutationTrace:
     flip_order: tuple[int, ...]
     fitness_after: tuple[int, ...]
     stopped_at: int
-
-
-@dataclass
-class AgedIndividual:
-    """Population unit: assignment, its cached fitness, and its age."""
-
-    x: Assignment
-    fitness: int
-    age: int
 
 
 def hypermutate_fcm(
@@ -115,30 +106,73 @@ def trajectory_ones_counts(n: int, x: Sequence[int], rng: Rng) -> list[int]:
     return (int(sum(x)) + np.cumsum(steps)).tolist()
 
 
-def sbm(inst: Instance, x: Assignment, rng: Rng) -> Assignment:
-    """Standard bit mutation: each bit flips independently with probability 1/n."""
-    n = inst.n
-    k = int(rng.binomial(n, 1.0 / n))
+def flipped(inst: Instance, x: Assignment, flips: list[int]) -> Assignment:
+    """A copy of x with the bits in flips toggled."""
     y = x.copy()
-    if k == 0:
-        return y
-    if k == n:
-        idx = range(n)
-    else:
-        # Flip count first, then a uniform k-subset: same distribution as
-        # per-bit coin flips.
-        while True:
-            draw = rng.integers(0, n, size=k).tolist()
-            if k == 1 or len(set(draw)) == k:
-                idx = draw
-                break
-    for i in idx:
+    for i in flips:
         flip_in_place(inst, y, i)
     return y
 
 
+def sbm(inst: Instance, x: Assignment, rng: Rng) -> Assignment:
+    """Standard bit mutation: each bit flips independently with probability 1/n.
+
+    A Bin(n, 1/n) flip count, then a uniform subset of that size: the same
+    distribution as per-bit coin flips.
+    """
+    n = inst.n
+    k = int(rng.binomial(n, 1.0 / n))
+    return flipped(inst, x, rng.choice(n, k, replace=False).tolist() if k else [])
+
+
 def one_bit_flip(inst: Instance, x: Assignment, rng: Rng) -> Assignment:
     """Flip exactly one uniformly chosen bit."""
-    y = x.copy()
-    flip_in_place(inst, y, int(rng.integers(0, inst.n)))
-    return y
+    return flipped(inst, x, [int(rng.integers(0, inst.n))])
+
+
+BLOCK = 256
+
+
+class MutationStream:
+    """Block-drawn randomness of one search trial.
+
+    Flip counts of standard bit mutation, and uniform integers below each bound
+    k, come from their own blocks of BLOCK draws. A block is drawn from the
+    trial's generator when first needed and again whenever it runs out; none is
+    sized by a budget, so the draws of a trial do not depend on its length.
+    """
+
+    def __init__(self, rng: Rng, n: int) -> None:
+        self.rng = rng
+        self.n = n
+        self._counts: list[int] = []
+        self._below: dict[int, list[int]] = {}
+
+    def below(self, k: int) -> int:
+        """A uniform integer in [0, k)."""
+        block = self._below.get(k)
+        if not block:
+            block = self._below[k] = self.rng.integers(0, k, size=BLOCK).tolist()
+        return block.pop()
+
+    def one_flip(self) -> list[int]:
+        """The bit flipped by a one-bit mutation."""
+        return [self.below(self.n)]
+
+    def sbm_flips(self) -> list[int]:
+        """The bits flipped by one standard bit mutation, each w.p. 1/n.
+
+        A Bin(n, 1/n) count k, then Floyd's uniform k-subset of range(n).
+        """
+        counts = self._counts
+        if not counts:
+            counts = self._counts = self.rng.binomial(self.n, 1.0 / self.n, size=BLOCK).tolist()
+        k = counts.pop()
+        if k < 2:  # Floyd's loop below, unrolled for the common counts
+            return [self.below(self.n)] if k else []
+        n = self.n
+        chosen: list[int] = []
+        for j in range(n - k, n):
+            t = self.below(j + 1)
+            chosen.append(j if t in chosen else t)
+        return chosen

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from partition_ais import (
+    Assignment,
     ContractViolationError,
     EvaluationCounter,
     GStarParams,
     Instance,
     StopCondition,
+    algorithms,
+    dp_optimal_makespan,
     enumerate_local_optima,
     gen_g_star,
+    gen_uniform,
     interval_progress_stat,
     restart_length_for_ratio,
     run_ia_hyp,
@@ -192,3 +201,145 @@ def test_results_never_exceed_budget_with_targets():
                 assert r.best_makespan <= 72
             else:
                 assert r.best_makespan > 72
+
+
+class _RecordingStream(algorithms.MutationStream):
+    """The runners' mutation stream, keeping every draw it hands out."""
+
+    def __init__(self, rng, n):
+        super().__init__(rng, n)
+        self.offspring: list[list[int]] = []
+        self.below_draws: dict[int, list[int]] = defaultdict(list)
+
+    def below(self, k):
+        value = super().below(k)
+        self.below_draws[k].append(value)
+        return value
+
+    def sbm_flips(self):
+        flips = super().sbm_flips()
+        self.offspring.append(flips)
+        return flips
+
+    def one_flip(self):
+        flips = super().one_flip()
+        self.offspring.append(flips)
+        return flips
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """Every stream a runner makes while the test runs, in creation order."""
+    made: list[_RecordingStream] = []
+
+    def make(rng, n):
+        made.append(_RecordingStream(rng, n))
+        return made[-1]
+
+    monkeypatch.setattr(algorithms, "MutationStream", make)
+    return made
+
+
+def _chi2_pvalue(observed, expected) -> float:
+    """Chi-square goodness of fit, tail cells pooled until each expects >= 5."""
+    observed, expected = list(observed), list(expected)
+    while expected[-1] < 5:
+        tail_observed, tail_expected = observed.pop(), expected.pop()
+        observed[-1] += tail_observed
+        expected[-1] += tail_expected
+    assert min(expected) >= 5, "too few samples for a chi-square test"
+    return float(stats.chisquare(observed, expected).pvalue)
+
+
+G32 = gen_g_star(GStarParams(n=32, s=2, eps=(1, 4)))
+
+
+def test_ea_flip_counts_are_binomial_with_the_zero_flip_share(streams):
+    budget = 20_000
+    run_one_one_ea(G32, StopCondition(budget), seed=41)
+    offspring = streams[0].offspring
+    assert len(offspring) == budget - 1  # every evaluation after the random start
+    n = G32.n
+    counts = np.bincount([len(f) for f in offspring], minlength=n + 1)
+    expected = stats.binom.pmf(np.arange(n + 1), n, 1 / n) * len(offspring)
+    # cell 0 holds the offspring that are charged but not computed: (1 - 1/n)^n
+    assert _chi2_pvalue(counts, expected) >= 1e-3
+
+
+@pytest.mark.parametrize("algo", ["ea", "rls"])
+def test_flip_positions_are_uniform_and_distinct(streams, algo):
+    run_with_restarts(algo, G32, 242, StopCondition(20_000), seed=43)
+    offspring = streams[0].offspring
+    assert all(len(set(f)) == len(f) for f in offspring)
+    n = G32.n
+    positions = np.bincount([i for f in offspring for i in f], minlength=n)
+    assert len(positions) == n
+    assert _chi2_pvalue(positions, [positions.sum() / n] * n) >= 1e-3
+    if algo == "ea":
+        # two flips form a uniform pair: the subset is uniform, not just its bits
+        pairs = defaultdict(int)
+        for f in offspring:
+            if len(f) == 2:
+                pairs[tuple(sorted(f))] += 1
+        cells = list(combinations(range(n), 2))
+        total = sum(pairs.values())
+        assert _chi2_pvalue([pairs[c] for c in cells], [total / len(cells)] * len(cells)) >= 1e-3
+
+
+def test_ageing_parent_picks_and_tie_breaks_are_uniform(streams):
+    mu = 5
+    run_mu_ea_ageing(G32, mu, math.ceil(32 ** 1.5), StopCondition(30_000), seed=47)
+    draws = streams[0].below_draws
+    # parent picks draw below mu; tie-breaks below 2..mu+1 (the child among the
+    # tied worst); larger bounds are the subset draws of standard bit mutation
+    assert mu in draws and any(2 <= k <= mu + 1 and k != mu for k in draws)
+    tested = 0
+    for k, values in draws.items():
+        if len(values) >= 5 * k:
+            counts = np.bincount(values, minlength=k)
+            assert len(counts) == k
+            assert _chi2_pvalue(counts, [len(values) / k] * k) >= 1e-3, k
+            tested += k <= mu + 1
+    assert tested >= 3
+
+
+def _runners(rng):
+    mu = int(rng.integers(1, 5))
+    tau = int(rng.integers(2, 30))
+    length = int(rng.integers(3, 40))
+    return {
+        "ea": lambda *a, **kw: run_one_one_ea(*a, **kw),
+        "rls": lambda *a, **kw: run_rls(*a, **kw),
+        "iahyp": lambda *a, **kw: run_ia_hyp(*a, **kw),
+        "ageing": lambda *a, **kw: run_mu_ea_ageing(a[0], mu, tau, *a[1:], **kw),
+        "ea-restart": lambda *a, **kw: run_with_restarts("ea", a[0], length, *a[1:], **kw),
+        "rls-restart": lambda *a, **kw: run_with_restarts("rls", a[0], length, *a[1:], **kw),
+    }
+
+
+def test_seeded_invariants_hold_for_all_runners_on_random_instances():
+    rng = np.random.default_rng(20240911)
+    for _ in range(60):
+        n = int(rng.integers(2, 14))
+        inst = gen_uniform(n, int(rng.integers(1, 60)), seed=int(rng.integers(1 << 32)))
+        budget = int(rng.integers(1, 400))
+        targeted = rng.random() < 0.5
+        target = dp_optimal_makespan(inst) + int(rng.integers(0, 3)) if targeted else None
+        stop = StopCondition(budget, target_makespan=target)
+        floor = max((inst.W + 1) // 2, inst.p[0])
+        for name, run in _runners(rng).items():
+            counter = EvaluationCounter()
+            r = run(inst, stop, int(rng.integers(1 << 32)), counter=counter, record_trace=True)
+            x = r.best_assignment
+            assert x.load2 == sum(t for t, b in zip(inst.p, x.bits) if b), name
+            assert x.load1 == inst.W - x.load2, name
+            assert r.best_makespan == Assignment.from_bits(inst, x.bits).makespan, name
+            assert r.best_makespan >= floor, name
+            if target is None:
+                assert r.evaluations_used == budget, name
+            else:
+                assert r.evaluations_used <= budget, name
+                assert (r.terminated_by == "target") == (r.best_makespan <= target), name
+            assert len(r.fitness_trace) == counter.count == r.evaluations_used, name
+            assert min(r.fitness_trace) == r.best_makespan, name
+            assert all(1 <= at <= r.evaluations_used for at, _ in r.stagnation_log), name

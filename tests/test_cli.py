@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from partition_ais import cli, harness
 from partition_ais.cli import main
 
 
@@ -174,6 +175,51 @@ def test_run_budget_only_mode_for_dp_infeasible_instances(tmp_path, capsys):
         "--target-ratio", "3/2",
     ])
     assert code == 2
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_worker_processes_are_capped_at_the_cpu_count(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    source = (
+        ["run", "--family", "gstar", "--n", "8"] if command == "run"
+        else ["sweep", "--n-list", "8"]
+    )
+
+    def argv(trials: int) -> list[str]:
+        return source + [
+            "--s", "2", "--eps", "1/4", "--algo", "rls", "--trials", str(trials),
+            "--budget", "200", "--threads", "5000",
+        ]
+
+    code, stdout, _ = _run(capsys, argv(10))
+    assert code == 0
+    assert " threads=3 " in stdout.splitlines()[0]
+    assert _InlinePool.sizes == [3]
+    # fewer trials than CPUs: the trial count caps the pool
+    code, stdout, _ = _run(capsys, argv(2))
+    assert code == 0
+    assert " threads=2 " in stdout.splitlines()[0]
+    assert _InlinePool.sizes == [3, 2]
 
 
 def test_run_target_ratio_mode(capsys):
