@@ -181,14 +181,11 @@ def check_trajectories(seed: int = TRAJECTORY_SEED) -> list[CheckResult]:
     # Uniformity: from 0^8, the state after 4 flips must be uniform over all
     # C(8,4)=70 strings of weight 4.
     samples = 100_000
-    observed = np.zeros(256, dtype=np.int64)
+    states = np.empty((samples, 8), dtype=np.int64)
     start8 = [0] * 8
-    for _ in range(samples):
-        state = hypermutation_full_trajectory(8, start8, rng)[3]
-        mask = 0
-        for j, b in enumerate(state):
-            mask |= b << j
-        observed[mask] += 1
+    for i in range(samples):
+        states[i] = hypermutation_full_trajectory(8, start8, rng)[3]
+    observed = np.bincount(states @ (1 << np.arange(8)), minlength=256)
     cells = [m for m in range(256) if bin(m).count("1") == 4]
     counts = observed[cells]
     expected = samples / len(cells)
@@ -206,11 +203,11 @@ def check_trajectories(seed: int = TRAJECTORY_SEED) -> list[CheckResult]:
     weights = rng.integers(1, 10_001, size=n)
     half = float(weights.sum()) / 2
     start = [0] * n
-    total = 0.0
-    for _ in range(samples):
-        state = hypermutation_full_trajectory(n, start, rng)[n // 2 - 1]
-        total += float(weights @ np.asarray(state, dtype=np.int64))
-    mean = total / samples
+    states = np.empty((samples, n), dtype=np.int8)
+    for i in range(samples):
+        states[i] = hypermutation_full_trajectory(n, start, rng)[n // 2 - 1]
+    # integer sums below 2^53, so the mean is exact as with a float running sum
+    mean = int(weights @ states.sum(axis=0, dtype=np.int64)) / samples
     results.append(CheckResult(
         "halfway_weighted_mean", abs(mean - half) <= 0.01 * half,
         f"mean={mean:.1f} target={half:.1f} rel_err={abs(mean - half) / half:.4f}",

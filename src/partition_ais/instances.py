@@ -13,9 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ContractViolationError, Instance, InstanceMeta
-
-_W_LIMIT = 1 << 128
+from .core import _W_LIMIT, ContractViolationError, Instance, InstanceMeta
 
 
 class ParameterError(ValueError):

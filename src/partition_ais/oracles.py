@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .core import Assignment, ContractViolationError, Instance
 _DP_CELL_LIMIT = 1_000_000_000
 _ENUM_N_LIMIT = 24
 _INT64_LIMIT = 1 << 62
+_LOW_JOBS = 16
 
 
 class CapacityError(RuntimeError):
@@ -90,20 +91,50 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
     return best, Assignment.from_bits(inst, bits)
 
 
+def _table(jobs: Sequence[int], first1: int, big: int) -> tuple[np.ndarray, ...]:
+    """Twice machine 2's load and each machine's smallest job (big if none)
+    for every placement of jobs, bit j being jobs[j]; machine 1 starts with
+    first1. Jobs are non-increasing, so machine 2's smallest is the job of the
+    highest set bit, machine 1's that of the highest clear bit (index reversed)."""
+    twice = np.zeros(1 << len(jobs), dtype=np.int64)
+    for j, t in enumerate(jobs):
+        np.add(twice[:1 << j], 2 * t, out=twice[1 << j:2 << j])
+    sizes = [1] + [1 << j for j in range(len(jobs))]
+    min1 = np.repeat(np.array([first1, *jobs], dtype=np.int64), sizes)[::-1]
+    return twice, min1, np.repeat(np.array([big, *jobs], dtype=np.int64), sizes)
+
+
+def _chunks(inst: Instance) -> Iterator[tuple[int, np.ndarray, object, object]]:
+    """The 2^(n-1) assignments with job 0 on machine 1 (bit j of an index is
+    job j+1), in index order: (first index, load2 - load1, smallest job on
+    machine 1, on machine 2). The first _LOW_JOBS jobs of p[1:] index one
+    table and each placement of the rest is one scalar row; high jobs are the
+    smaller, so a machine's smallest job is the row's unless it has none (big).
+    """
+    W, big = inst.W, inst.W + 1
+    low = inst.p[1:1 + _LOW_JOBS]
+    diff, min1, min2 = _table(low, inst.p[0], big)
+    diff -= W
+    rows = zip(*(a.tolist() for a in _table(inst.p[1 + _LOW_JOBS:], big, big)))
+    for c, (high, high1, high2) in enumerate(rows):
+        yield (c << len(low), diff + high,
+               min1 if high1 == big else high1, min2 if high2 == big else high2)
+
+
 def brute_force_optimum(inst: Instance) -> tuple[int, Assignment]:
-    """Exhaustive scan of all assignments with bit 0 fixed by machine symmetry."""
+    """Exhaustive scan, bit 0 fixed by machine symmetry; the witness is the first minimum."""
     if inst.n > _ENUM_N_LIMIT:
         raise CapacityError(f"exhaustive scan is limited to n <= {_ENUM_N_LIMIT}")
     if inst.W >= _INT64_LIMIT:
         raise CapacityError("exhaustive scan needs W below 2^62")
-    W = inst.W
-    loads = np.zeros(1, dtype=np.int64)
-    for t in inst.p[1:]:
-        loads = np.concatenate([loads, loads + t])
-    make = np.maximum(loads, W - loads)
-    k = int(np.argmin(make))
+    best, k = inst.W + 1, 0
+    for start, diff, _, _ in _chunks(inst):
+        disc = np.abs(diff)
+        i = int(np.argmin(disc))
+        if disc[i] < best:
+            best, k = int(disc[i]), start + i
     bits = [0] + [(k >> j) & 1 for j in range(inst.n - 1)]
-    return int(make[k]), Assignment.from_bits(inst, bits)
+    return (inst.W + best) // 2, Assignment.from_bits(inst, bits)
 
 
 def lpt(inst: Instance) -> Assignment:
@@ -124,34 +155,18 @@ def enumerate_local_optima(inst: Instance) -> LocalOptimaSummary:
     """Every symmetry-reduced assignment, tested for single-flip optimality.
 
     A solution is locally optimal iff the fuller machine's smallest job is at
-    least the discrepancy; vectorized over chunks of assignment indices.
+    least the discrepancy. With d = load2 - load1 that is min2 >= d and
+    min1 >= -d: jobs are positive, so the emptier machine always passes.
     """
     if inst.n > _ENUM_N_LIMIT:
         raise CapacityError(f"enumeration is limited to n <= {_ENUM_N_LIMIT}")
     if inst.W >= _INT64_LIMIT:
         raise CapacityError("enumeration needs W below 2^62")
-    n, W = inst.n, inst.W
-    p_rest = np.asarray(inst.p[1:], dtype=np.int64)
-    shifts = np.arange(max(n - 1, 0), dtype=np.uint32)
-    big = np.int64(W + 1)
     found: set[int] = set()
-    total = 1 << (n - 1)
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(total, start + chunk), dtype=np.uint32)
-        bitsmat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-        load2 = bitsmat @ p_rest
-        load1 = W - load2
-        disc = np.abs(load1 - load2)
-        fuller2 = load2 > load1
-        on_fuller = bitsmat == fuller2[:, None].astype(np.int64)
-        vals = np.where(on_fuller, p_rest[None, :], big)
-        minp = vals.min(axis=1, initial=big)
-        # job 0 sits on machine 1; it joins the minimum when machine 1 is fuller
-        minp = np.where(~fuller2, np.minimum(minp, np.int64(inst.p[0])), minp)
-        local = (disc == 0) | (minp >= disc)
-        found.update(int(v) for v in np.unique(np.maximum(load1, load2)[local]))
-    return LocalOptimaSummary(distinct_makespans=tuple(sorted(found)))
+    for _, diff, min1, min2 in _chunks(inst):
+        local = (min2 >= diff) & (min1 >= -diff)
+        found.update(np.unique(np.abs(diff[local])).tolist())
+    return LocalOptimaSummary(tuple(sorted((inst.W + d) // 2 for d in found)))
 
 
 def g_star_local_optima(inst: Instance) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ from partition_ais import (
     interval_progress_stat,
     is_local_optimum,
     lpt,
+    oracles,
     run_ia_hyp,
     StopCondition,
 )
@@ -101,6 +102,37 @@ def test_enumerate_matches_naive_definition_scan():
             if is_local_optimum(inst, x):
                 naive.add(x.makespan)
         assert enumerate_local_optima(inst).distinct_makespans == tuple(sorted(naive))
+
+
+def _naive_scan(inst):
+    """Local-optimum makespans, the optimum and its first index k over the
+    2^(n-1) assignments with job 0 on machine 1 (bit j of k is job j+1)."""
+    levels, best, first = set(), None, None
+    for k in range(1 << (inst.n - 1)):
+        x = Assignment.from_bits(inst, [0] + [(k >> j) & 1 for j in range(inst.n - 1)])
+        if is_local_optimum(inst, x):
+            levels.add(x.makespan)
+        if best is None or x.makespan < best:
+            best, first = x.makespan, k
+    return tuple(sorted(levels)), best, first
+
+
+@pytest.mark.parametrize("split", [2, 3])
+def test_scans_match_naive_scan_across_many_chunks(monkeypatch, split):
+    # a low-jobs table of 2^split entries makes every n > split + 1 span
+    # several chunks, so the combination of table and high rows is exercised
+    monkeypatch.setattr(oracles, "_LOW_JOBS", split)
+    rng = np.random.default_rng(40 + split)
+    insts = [Instance(p=(4,)), Instance(p=(3, 2)), Instance(p=(1,) * 11), Instance(p=(7,) * 8)]
+    for n in (split + 1, split + 2, 7, 9, 11):
+        for max_p in (1, 2, 3, 10, 1000):
+            insts.append(gen_uniform(n, max_p, int(rng.integers(0, 1 << 32))))
+    for inst in insts:
+        levels, best, first = _naive_scan(inst)
+        assert enumerate_local_optima(inst).distinct_makespans == levels
+        value, witness = brute_force_optimum(inst)
+        assert value == best
+        assert witness.bits == [0] + [(first >> j) & 1 for j in range(inst.n - 1)]
 
 
 def test_minimum_local_level_is_the_optimum():
