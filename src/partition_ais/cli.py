@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .algorithms import StopCondition
-from .checks import ORACLE_SEED, TRAJECTORY_SEED, SUITES, run_suite
 from .core import ContractViolationError, Instance
 from .harness import (
     ALGORITHMS,
@@ -22,6 +21,7 @@ from .harness import (
     ExperimentConfig,
     _write_csv,
     export_report,
+    pool_size,
     report_rows,
     run_experiment,
     scaling_sweep,
@@ -146,11 +146,6 @@ def _validate_algo_flags(args: argparse.Namespace) -> None:
         raise ParameterError("--restart-len only applies to restart algorithms")
 
 
-def _workers(args: argparse.Namespace) -> int:
-    """Worker processes: --threads, capped by the trial and the CPU count."""
-    return max(1, min(args.threads, args.trials, os.cpu_count() or 1))
-
-
 def _resolve_run_target(
     args: argparse.Namespace, inst: Instance
 ) -> tuple[StopCondition, int | None, str]:
@@ -206,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ParameterError("run needs an instance: --in or --family")
     _validate_algo_flags(args)
     stop, optimum, target_desc = _resolve_run_target(args, inst)
-    workers = _workers(args)
+    workers = pool_size(args.threads, args.trials)
     config = ExperimentConfig(
         instance=inst,
         algorithm=args.algo,
@@ -269,7 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Ratio 1 pins each size's target to its own exact optimum.
         stop = StopCondition(args.budget, target_ratio=Fraction(1))
         target_desc = "makespan<=optimum"
-    workers = _workers(args)
+    workers = pool_size(args.threads, args.trials)
     print(_config_line("sweep", [
         ("family", "gstar"),
         ("n_list", ",".join(str(n) for n in n_list)),
@@ -332,6 +327,11 @@ def _export_sweep(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Imported here: checks needs scipy, which no other command uses.
+    from .checks import ORACLE_SEED, SUITES, TRAJECTORY_SEED, run_suite
+
+    if args.suite not in SUITES:
+        raise ParameterError(f"unknown suite {args.suite!r}; choose one of {', '.join(SUITES)}")
     default_seeds = {"oracles": ORACLE_SEED, "trajectories": TRAJECTORY_SEED}
     resolved_seed = args.seed if args.seed is not None else default_seeds.get(args.suite)
     print(_config_line("verify", [("suite", args.suite), ("seed", resolved_seed)]))
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=_cmd_sweep)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, choices=SUITES)
+    v.add_argument("--suite", required=True)
     v.add_argument("--seed", type=int)
     v.set_defaults(func=_cmd_verify)
     return parser

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -198,15 +200,29 @@ def _summarize(
     return summary
 
 
+def pool_size(workers: int, trials: int) -> int:
+    """Worker processes for a batch: the request, capped by the trial and the CPU count."""
+    return max(1, min(workers, trials, os.cpu_count() or 1))
+
+
+# Contiguous trial ranges per worker; more than one evens out uneven trials.
+_CHUNKS_PER_WORKER = 4
+
+
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute all trials; the optimum is resolved once, before any trial runs."""
     _validate(config)
     optimum = _resolve_optimum(config)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = tuple(
-                pool.map(_execute_trial, repeat(config), repeat(optimum), range(config.trials))
-            )
+    workers = pool_size(config.workers, config.trials)
+    if workers > 1:
+        # One task per range of trials, not per trial: the config and the
+        # instance are pickled once per range, and results keep trial order.
+        chunksize = math.ceil(config.trials / (_CHUNKS_PER_WORKER * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = tuple(pool.map(
+                _execute_trial, repeat(config), repeat(optimum), range(config.trials),
+                chunksize=chunksize,
+            ))
     else:
         results = tuple(
             _execute_trial(config, optimum, i) for i in range(config.trials)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from partition_ais import cli, harness
@@ -191,7 +196,7 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
 
 
@@ -279,6 +284,25 @@ def test_verify_suites_pass(capsys):
     code, stdout, _ = _run(capsys, ["verify", "--suite", "oracles"])
     assert code == 0
     assert "PASS dp_equals_brute_200" in stdout
+
+
+def test_verify_rejects_an_unknown_suite(capsys):
+    code, stdout, stderr = _run(capsys, ["verify", "--suite", "bogus"])
+    assert code == 2
+    assert stdout == ""
+    assert "oracles, properties, trajectories" in stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import partition_ais.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 def test_unknown_flags_are_rejected():

@@ -22,6 +22,7 @@ from partition_ais import (
     run_rls,
     scaling_sweep,
 )
+from partition_ais import harness
 from partition_ais.harness import CSV_COLUMNS
 
 G8 = gen_g_star(GStarParams(n=8, s=2, eps=(1, 4)))
@@ -72,6 +73,80 @@ def test_parallel_workers_do_not_change_results():
     parallel = run_experiment(_config(trials=6, workers=3))
     assert serial.results == parallel.results
     assert serial.summary == parallel.summary
+
+
+def _results_and_bytes(config: ExperimentConfig, tmp_path) -> tuple:
+    report = run_experiment(config)
+    blobs = []
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"w{config.workers}.{fmt}"
+        export_report(report, fmt, str(path))
+        blobs.append(path.read_bytes())
+    return report.results, report.summary, blobs
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    ("iahyp", {}),
+    ("ageing", {"mu": 3, "tau": 20}),
+])
+def test_worker_count_does_not_change_results_or_bytes(monkeypatch, tmp_path, algorithm, extra):
+    # 37 is prime, so no split into trial ranges is even; the CPU count is
+    # raised so that three workers run on a smaller host too.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    serial = _results_and_bytes(
+        _config(algorithm=algorithm, trials=37, workers=1, **extra), tmp_path
+    )
+    for workers in (2, 3):
+        parallel = _results_and_bytes(
+            _config(algorithm=algorithm, trials=37, workers=workers, **extra), tmp_path
+        )
+        assert parallel == serial
+
+
+def test_fewer_trials_than_workers(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    serial = _results_and_bytes(_config(trials=2, workers=1), tmp_path)
+    assert _results_and_bytes(_config(trials=2, workers=3), tmp_path) == serial
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and the range
+    length it is handed, and starts no process."""
+
+    calls: list[tuple[int, int]] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.calls.append((self.max_workers, chunksize))
+        return map(fn, *iterables)
+
+
+def test_worker_processes_are_capped_in_the_harness(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    assert harness.pool_size(1000, 37) == 3
+    assert harness.pool_size(2, 37) == 2
+    assert harness.pool_size(1000, 2) == 2
+    assert harness.pool_size(1, 37) == 1
+
+    report = run_experiment(_config(trials=37, workers=1000))
+    assert report.results == run_experiment(_config(trials=37)).results
+    # three workers, each handed about four contiguous ranges of trials
+    assert _RecordingPool.calls == [(3, 4)]
+    run_experiment(_config(trials=2, workers=1000))
+    assert _RecordingPool.calls == [(3, 4), (2, 1)]
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness.pool_size(1000, 37) == 1
 
 
 def test_csv_round_trip(tmp_path):
