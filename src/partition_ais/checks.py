@@ -16,7 +16,7 @@ from scipy import stats as scipy_stats
 
 from .core import ContractViolationError, Instance
 from .instances import GStarParams, gen_g_star, gen_p_star, gen_uniform
-from .operators import hypermutation_full_trajectory, trajectory_ones_counts
+from .operators import flip_orders
 from .oracles import (
     brute_force_optimum,
     dp_optimal_makespan,
@@ -173,19 +173,34 @@ def check_properties() -> list[CheckResult]:
     return results
 
 
+# Flip-order entries per chunk: holds the suite's memory to a few MB.
+_CHUNK_ENTRIES = 100_000
+
+
+def _flip_order_chunks(n: int, rng: np.random.Generator, walks: int):
+    """The flip orders of `walks` successive walks, in chunks of bounded size."""
+    rows = max(1, _CHUNK_ENTRIES // n)
+    for done in range(0, walks, rows):
+        yield flip_orders(n, rng, min(rows, walks - done))
+
+
 def check_trajectories(seed: int = TRAJECTORY_SEED) -> list[CheckResult]:
-    """Distributional laws of the mutation walk, measured on the operator itself."""
+    """Distributional laws of the mutation walk, measured on its flip orders.
+
+    Each walk is one row of operators.flip_orders, which draws as one
+    permutation per walk does, so the laws hold for the operators' walks.
+    """
     rng = np.random.default_rng(seed)
     results = []
 
     # Uniformity: from 0^8, the state after 4 flips must be uniform over all
-    # C(8,4)=70 strings of weight 4.
+    # C(8,4)=70 strings of weight 4. Its bitmask is the xor of the first four
+    # flipped bits.
     samples = 100_000
-    states = np.empty((samples, 8), dtype=np.int64)
-    start8 = [0] * 8
-    for i in range(samples):
-        states[i] = hypermutation_full_trajectory(8, start8, rng)[3]
-    observed = np.bincount(states @ (1 << np.arange(8)), minlength=256)
+    observed = np.zeros(256, dtype=np.int64)
+    for orders in _flip_order_chunks(8, rng, samples):
+        masks = np.bitwise_xor.reduce(1 << orders[:, :4], axis=1)
+        observed += np.bincount(masks, minlength=256)
     cells = [m for m in range(256) if bin(m).count("1") == 4]
     counts = observed[cells]
     expected = samples / len(cells)
@@ -198,32 +213,31 @@ def check_trajectories(seed: int = TRAJECTORY_SEED) -> list[CheckResult]:
     ))
 
     # Halfway weighted sum: from 0^n the mean weighted sum after n/2 flips
-    # must be half the total weight.
+    # must be half the total weight. The column sums of the halfway states
+    # count how often each bit is among the first n/2 flipped.
     n = 50
     weights = rng.integers(1, 10_001, size=n)
     half = float(weights.sum()) / 2
-    start = [0] * n
-    states = np.empty((samples, n), dtype=np.int8)
-    for i in range(samples):
-        states[i] = hypermutation_full_trajectory(n, start, rng)[n // 2 - 1]
+    ones = np.zeros(n, dtype=np.int64)
+    for orders in _flip_order_chunks(n, rng, samples):
+        ones += np.bincount(orders[:, : n // 2].ravel(), minlength=n)
     # integer sums below 2^53, so the mean is exact as with a float running sum
-    mean = int(weights @ states.sum(axis=0, dtype=np.int64)) / samples
+    mean = int(weights @ ones) / samples
     results.append(CheckResult(
         "halfway_weighted_mean", abs(mean - half) <= 0.01 * half,
         f"mean={mean:.1f} target={half:.1f} rel_err={abs(mean - half) / half:.4f}",
         "within 1%",
     ))
 
-    # Level crossing: from 750 ones out of 1000, nearly all walks pass through
-    # exactly 500 ones inside the middle step window.
+    # Level crossing: from 750 ones out of 1000 (bits 0..749 set), nearly all
+    # walks pass through exactly 500 ones inside the middle step window.
     n = 1000
-    start = [1] * 750 + [0] * 250
     walks = 10_000
     hits = 0
-    for _ in range(walks):
-        counts_list = trajectory_ones_counts(n, start, rng)
-        if 500 in counts_list[374:625]:
-            hits += 1
+    for orders in _flip_order_chunks(n, rng, walks):
+        steps = np.where(orders < 750, np.int16(-1), np.int16(1))
+        ones_path = 750 + np.cumsum(steps, axis=1, dtype=np.int16)
+        hits += int((ones_path[:, 374:625] == 500).any(axis=1).sum())
     rate = hits / walks
     results.append(CheckResult(
         "crossing_window", rate >= 0.95,

@@ -333,6 +333,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
         raise ParameterError(f"unknown suite {args.suite!r}; choose one of {', '.join(SUITES)}")
     default_seeds = {"oracles": ORACLE_SEED, "trajectories": TRAJECTORY_SEED}
+    if args.seed is not None:
+        if args.suite not in default_seeds:
+            raise ParameterError(f"suite {args.suite!r} takes no seed")
+        if args.seed < 0:
+            raise ParameterError("seeds must be non-negative")
     resolved_seed = args.seed if args.seed is not None else default_seeds.get(args.suite)
     print(_config_line("verify", [("suite", args.suite), ("seed", resolved_seed)]))
     results = run_suite(args.suite, args.seed)

@@ -106,6 +106,16 @@ def trajectory_ones_counts(n: int, x: Sequence[int], rng: Rng) -> list[int]:
     return (int(sum(x)) + np.cumsum(steps)).tolist()
 
 
+def flip_orders(n: int, rng: Rng, walks: int) -> np.ndarray:
+    """The flip orders of `walks` successive walks on n bits, one per row.
+
+    One batched draw that consumes the generator exactly as `walks` successive
+    rng.permutation(n) calls do, so row i is the order of the i-th of that
+    many hypermutation_full_trajectory or trajectory_ones_counts walks.
+    """
+    return rng.permuted(np.broadcast_to(np.arange(n), (walks, n)), axis=1)
+
+
 def flipped(inst: Instance, x: Assignment, flips: list[int]) -> Assignment:
     """A copy of x with the bits in flips toggled."""
     y = x.copy()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from partition_ais import cli, harness
@@ -291,6 +292,57 @@ def test_verify_rejects_an_unknown_suite(capsys):
     assert code == 2
     assert stdout == ""
     assert "oracles, properties, trajectories" in stderr
+
+
+@pytest.mark.parametrize("suite", ["oracles", "trajectories"])
+def test_verify_rejects_a_negative_seed(capsys, suite):
+    code, stdout, stderr = _run(capsys, ["verify", "--suite", suite, "--seed", "-1"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: seeds must be non-negative\n"
+
+
+def test_verify_properties_takes_no_seed(capsys):
+    code, stdout, stderr = _run(capsys, ["verify", "--suite", "properties", "--seed", "5"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: suite 'properties' takes no seed\n"
+
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "properties"])
+    assert code == 0
+    assert stdout.startswith("config: command=verify suite=properties\n")
+
+
+TRAJECTORIES_STDOUT = """\
+config: command=verify suite=trajectories seed=20240902
+PASS uniformity_chi2 measured[chi2=50.36 off_weight_samples=0] bound[chi2 <= 111.06]
+PASS halfway_weighted_mean measured[mean=148010.4 target=147964.0 rel_err=0.0003] bound[within 1%]
+PASS crossing_window measured[rate=1.0000] bound[>= 0.95 in steps [375, 625]]
+verify: ok (3/3 checks)
+"""
+
+
+def test_verify_trajectories_prints_the_pinned_bytes(capsys):
+    assert _run(capsys, ["verify", "--suite", "trajectories"]) == (0, TRAJECTORIES_STDOUT, "")
+
+
+def _with_replacement(n, rng, walks):
+    return rng.integers(0, n, size=(walks, n))
+
+
+def _one_order_per_chunk(n, rng, walks):
+    return np.tile(rng.permutation(n), (walks, 1))
+
+
+@pytest.mark.parametrize("broken", [_with_replacement, _one_order_per_chunk])
+def test_verify_trajectories_fails_on_broken_flip_orders(monkeypatch, capsys, broken):
+    from partition_ais import checks
+
+    monkeypatch.setattr(checks, "flip_orders", broken)
+    code, stdout, _ = _run(capsys, ["verify", "--suite", "trajectories"])
+    assert code == 4
+    assert "FAIL uniformity_chi2" in stdout
+    assert stdout.splitlines()[-1].startswith("verify: FAILED")
 
 
 def test_cli_import_does_not_load_scipy():
