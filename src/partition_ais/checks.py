@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .core import ContractViolationError, Instance
 from .instances import GStarParams, gen_g_star, gen_p_star, gen_uniform
@@ -29,6 +28,10 @@ ORACLE_SEED = 20240901
 TRAJECTORY_SEED = 20240902
 
 SUITES = ("oracles", "properties", "trajectories")
+
+# scipy.stats.chi2.ppf(1 - 1e-3, 69): the chi-square bound at significance
+# 1e-3 for the C(8,4) = 70 cells of the uniformity check.
+_UNIFORMITY_CHI2_BOUND = 111.05506556267146
 
 
 @dataclass(frozen=True)
@@ -205,11 +208,10 @@ def check_trajectories(seed: int = TRAJECTORY_SEED) -> list[CheckResult]:
     counts = observed[cells]
     expected = samples / len(cells)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    chi2_bound = float(scipy_stats.chi2.ppf(1 - 1e-3, len(cells) - 1))
     stray = int(observed.sum() - counts.sum())
     results.append(CheckResult(
-        "uniformity_chi2", chi2 <= chi2_bound and stray == 0,
-        f"chi2={chi2:.2f} off_weight_samples={stray}", f"chi2 <= {chi2_bound:.2f}",
+        "uniformity_chi2", chi2 <= _UNIFORMITY_CHI2_BOUND and stray == 0,
+        f"chi2={chi2:.2f} off_weight_samples={stray}", f"chi2 <= {_UNIFORMITY_CHI2_BOUND:.2f}",
     ))
 
     # Halfway weighted sum: from 0^n the mean weighted sum after n/2 flips

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -73,21 +74,42 @@ def dp_optimal_makespan(inst: Instance) -> int:
 
 
 def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
-    """Optimum plus a witness assignment, backtracking over stored rows."""
+    """Optimum plus a witness assignment, backtracking from checkpoint rows.
+
+    The forward pass keeps every k-th row, k = isqrt(n) (the checkpointing of
+    reverse-mode differentiation), so about 2*sqrt(n) rows are ever held. The
+    walk back recomputes one segment at a time from its checkpoint, over the
+    bits [load - sum(jobs[:-1]), load] of the segment's jobs, shifted down to
+    bit 0. Row i tests a bit at or above load - sum(p[i+1:end]) and adds
+    p[start:i] to the checkpoint, so it reads checkpoint bits from
+    load - sum(jobs) + p[i] up; jobs are non-increasing, so p[i] >= jobs[-1]
+    and those bits lie in the window. The walk tests the same bits as one over
+    all n+1 rows, and finds the same witness.
+    """
     _dp_guard(inst)
-    half = inst.W // 2
-    mask = (1 << (half + 1)) - 1
-    rows = [1]
-    for t in inst.p:
-        rows.append((rows[-1] | (rows[-1] << t)) & mask)
-    load = rows[-1].bit_length() - 1
+    p, n = inst.p, inst.n
+    k = isqrt(n)
+    mask = (1 << (inst.W // 2 + 1)) - 1
+    reach, checkpoints = 1, []
+    for i, t in enumerate(p):
+        if i % k == 0:
+            checkpoints.append(reach)
+        reach = (reach | (reach << t)) & mask
+    load = reach.bit_length() - 1
     best = inst.W - load
-    bits = [0] * inst.n
-    for i in range(inst.n - 1, -1, -1):
-        if (rows[i] >> load) & 1:
-            continue
-        bits[i] = 1
-        load -= inst.p[i]
+    bits = [0] * n
+    for start in reversed(range(0, n, k)):
+        jobs = p[start:start + k]
+        lo = max(0, load - sum(jobs[:-1]))
+        window = (1 << (load - lo + 1)) - 1
+        rows = [(checkpoints.pop() >> lo) & window]
+        for t in jobs[:-1]:
+            rows.append((rows[-1] | (rows[-1] << t)) & window)
+        for i in reversed(range(start, start + len(jobs))):
+            if (rows.pop() >> (load - lo)) & 1:
+                continue
+            bits[i] = 1
+            load -= p[i]
     return best, Assignment.from_bits(inst, bits)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -345,16 +346,46 @@ def test_verify_trajectories_fails_on_broken_flip_orders(monkeypatch, capsys, br
     assert stdout.splitlines()[-1].startswith("verify: FAILED")
 
 
-def test_cli_import_does_not_load_scipy():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def test_cli_import_does_not_load_scipy():
     subprocess.run(
         [sys.executable, "-c",
          "import partition_ais.cli, sys; assert 'scipy' not in sys.modules"],
-        env=env, check=True,
+        env=_src_env(), check=True,
     )
+
+
+_VERIFY_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from partition_ais.cli import main
+sys.exit(main(["verify", "--suite", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("suite", ["oracles", "properties", "trajectories"])
+def test_verify_runs_without_scipy(capsys, suite):
+    done = subprocess.run(
+        [sys.executable, "-c", _VERIFY_WITHOUT_SCIPY, suite],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _run(capsys, ["verify", "--suite", suite])[1]
+
+
+def test_uniformity_chi2_bound_is_the_scipy_quantile():
+    from scipy import stats
+
+    from partition_ais import checks
+
+    exact = stats.chi2.ppf(1 - 1e-3, comb(8, 4) - 1)
+    assert checks._UNIFORMITY_CHI2_BOUND == pytest.approx(exact, rel=1e-12)
 
 
 def test_unknown_flags_are_rejected():

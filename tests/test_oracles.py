@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -55,6 +57,55 @@ def test_dp_assignment_witness_is_optimal():
         assert value == dp_optimal_makespan(inst)
         rebuilt = Assignment.from_bits(inst, witness.bits)
         assert rebuilt.makespan == value
+
+
+def _stored_rows_assignment(inst):
+    """The witness from all n+1 stored rows, as dp_optimal_assignment found
+    it before it kept only checkpoint rows."""
+    half = inst.W // 2
+    mask = (1 << (half + 1)) - 1
+    rows = [1]
+    for t in inst.p:
+        rows.append((rows[-1] | (rows[-1] << t)) & mask)
+    load = rows[-1].bit_length() - 1
+    best = inst.W - load
+    bits = [0] * inst.n
+    for i in range(inst.n - 1, -1, -1):
+        if (rows[i] >> load) & 1:
+            continue
+        bits[i] = 1
+        load -= inst.p[i]
+    return best, Assignment.from_bits(inst, bits)
+
+
+def test_dp_assignment_witness_matches_stored_rows_backtrack():
+    # the printed witness bits of `solve --method dp --assignment` must not
+    # change: one segment per job (n = 2, 3), segment ends at and around
+    # perfect squares, random sizes, many ties (small p_max), equal jobs
+    rng = np.random.default_rng(11)
+    insts = [Instance(p=(5,)), Instance(p=(1,) * 16), Instance(p=(7,) * 50)]
+    sizes = [2, 3, 15, 16, 17, 49, 50] + rng.integers(2, 61, size=20).tolist()
+    for n in sizes:
+        for max_p in (1, 2, 3, 10, 1000, 10**5):
+            insts.append(gen_uniform(n, max_p, int(rng.integers(0, 1 << 32))))
+    for inst in insts:
+        value, witness = dp_optimal_assignment(inst)
+        ref_value, ref_witness = _stored_rows_assignment(inst)
+        assert value == ref_value
+        assert witness.bits == ref_witness.bits
+
+
+@pytest.mark.parametrize("n,max_p", [(50, 80_000), (200, 20_000)])
+def test_dp_assignment_memory_stays_near_sqrt_n_rows(n, max_p):
+    inst = gen_uniform(n, max_p, 7)
+    row_bytes = (inst.W // 2 + 1) / 8
+    tracemalloc.start()
+    try:
+        dp_optimal_assignment(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * isqrt(n) + 4) * row_bytes
 
 
 def test_capacity_guards():
