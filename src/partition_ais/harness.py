@@ -32,7 +32,8 @@ from .core import ContractViolationError, Instance
 from .instances import GStarParams, gen_g_star
 from .oracles import (
     CapacityError,
-    brute_force_optimum,
+    # not called here: perfbench/run.py traces the oracles in this namespace
+    brute_force_optimum,  # noqa: F401
     dp_optimal_makespan,
     enumerate_local_optima,
     g_star_local_optima,
@@ -92,7 +93,7 @@ def _validate(config: ExperimentConfig) -> None:
         raise ContractViolationError("ageing needs tau")
     if config.algorithm.endswith("-restart") and config.restart_length is None:
         raise ContractViolationError("restart algorithms need restart_length")
-    if config.optimum_source not in ("dp", "brute", "provided", "none"):
+    if config.optimum_source not in ("dp", "provided", "none"):
         raise ContractViolationError(f"unknown optimum source {config.optimum_source!r}")
     if config.optimum_source == "provided" and config.optimum is None:
         raise ContractViolationError("optimum_source 'provided' needs an optimum value")
@@ -105,8 +106,6 @@ def _resolve_optimum(config: ExperimentConfig) -> int | None:
     assert inst is not None
     if config.optimum_source == "dp":
         return dp_optimal_makespan(inst)
-    if config.optimum_source == "brute":
-        return brute_force_optimum(inst)[0]
     if config.optimum_source == "provided":
         return config.optimum
     return None

@@ -62,7 +62,9 @@ def dp_optimal_makespan(inst: Instance) -> int:
     """Exact optimum by subset-sum reachability over loads 0..W/2.
 
     One bitset row; bit j says some subset reaches load j. The best half-load
-    is the highest reachable bit.
+    is the highest reachable bit. The pass stops at the first job after which
+    bit W/2 is set: that split is perfect and no later job can improve it, so
+    random instances with n well above log2(p_max) read only a prefix of p.
     """
     _dp_guard(inst)
     half = inst.W // 2
@@ -70,6 +72,8 @@ def dp_optimal_makespan(inst: Instance) -> int:
     reach = 1
     for t in inst.p:
         reach = (reach | (reach << t)) & mask
+        if reach.bit_length() > half:
+            break
     return inst.W - (reach.bit_length() - 1)
 
 
@@ -85,21 +89,30 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
     load - sum(jobs) + p[i] up; jobs are non-increasing, so p[i] >= jobs[-1]
     and those bits lie in the window. The walk tests the same bits as one over
     all n+1 rows, and finds the same witness.
+
+    The forward pass stops, as dp_optimal_makespan's does, at the first job
+    after which bit W/2 is set; the walk then starts at that job. Every later
+    row holds bit W/2 as well, so the walk over all rows leaves every later
+    job on machine 1, and so does this one.
     """
     _dp_guard(inst)
     p, n = inst.p, inst.n
     k = isqrt(n)
-    mask = (1 << (inst.W // 2 + 1)) - 1
-    reach, checkpoints = 1, []
+    half = inst.W // 2
+    mask = (1 << (half + 1)) - 1
+    reach, checkpoints, used = 1, [], n
     for i, t in enumerate(p):
         if i % k == 0:
             checkpoints.append(reach)
         reach = (reach | (reach << t)) & mask
+        if reach.bit_length() > half:
+            used = i + 1
+            break
     load = reach.bit_length() - 1
     best = inst.W - load
     bits = [0] * n
-    for start in reversed(range(0, n, k)):
-        jobs = p[start:start + k]
+    for start in reversed(range(0, used, k)):
+        jobs = p[start:min(start + k, used)]
         lo = max(0, load - sum(jobs[:-1]))
         window = (1 << (load - lo + 1)) - 1
         rows = [(checkpoints.pop() >> lo) & window]
@@ -110,7 +123,8 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
                 continue
             bits[i] = 1
             load -= p[i]
-    return best, Assignment.from_bits(inst, bits)
+    # machine 2 holds the jobs the walk took, whose loads sum to W - best
+    return best, Assignment(bits=bits, load1=best, load2=inst.W - best)
 
 
 def _table(jobs: Sequence[int], first1: int, big: int) -> tuple[np.ndarray, ...]:
@@ -144,7 +158,12 @@ def _chunks(inst: Instance) -> Iterator[tuple[int, np.ndarray, object, object]]:
 
 
 def brute_force_optimum(inst: Instance) -> tuple[int, Assignment]:
-    """Exhaustive scan, bit 0 fixed by machine symmetry; the witness is the first minimum."""
+    """Exhaustive scan, bit 0 fixed by machine symmetry; the witness is the first minimum.
+
+    The scan stops after the first chunk whose smallest |load2 - load1| is
+    W mod 2, the least any split can reach; the witness is still the first
+    minimum in index order. With no perfect split every chunk is scanned.
+    """
     if inst.n > _ENUM_N_LIMIT:
         raise CapacityError(f"exhaustive scan is limited to n <= {_ENUM_N_LIMIT}")
     if inst.W >= _INT64_LIMIT:
@@ -155,6 +174,8 @@ def brute_force_optimum(inst: Instance) -> tuple[int, Assignment]:
         i = int(np.argmin(disc))
         if disc[i] < best:
             best, k = int(disc[i]), start + i
+            if best == inst.W % 2:
+                break
     bits = [0] + [(k >> j) & 1 for j in range(inst.n - 1)]
     return (inst.W + best) // 2, Assignment.from_bits(inst, bits)
 

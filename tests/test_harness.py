@@ -241,6 +241,8 @@ def test_config_validation():
         run_experiment(_config(algorithm="ea-restart"))
     with pytest.raises(ContractViolationError):
         run_experiment(_config(optimum_source="provided", optimum=None))
+    with pytest.raises(ContractViolationError, match="unknown optimum source 'brute'"):
+        run_experiment(_config(optimum_source="brute"))
     with pytest.raises(ContractViolationError):
         run_experiment(_config(instance=None))
     with pytest.raises(ContractViolationError):

@@ -57,6 +57,63 @@ def test_dp_assignment_witness_is_optimal():
         assert value == dp_optimal_makespan(inst)
         rebuilt = Assignment.from_bits(inst, witness.bits)
         assert rebuilt.makespan == value
+        assert (witness.load1, witness.load2) == (rebuilt.load1, rebuilt.load2)
+
+
+# Boundary cases of the stop at the first perfect split (|d| = W mod 2):
+# perfect after the first job at even and odd W, perfect only after the last
+# job (odd W only: at even W the complement of a perfect half has the same
+# load and leaves the last job out), no perfect split at all, and first
+# perfect splits in a later chunk of a 4-entry low-jobs table.
+_STOP_CASES = [(9, 8, 1), (9, 9, 1), (6, 3, 2, 1), (9, 7, 1), (5, 3, 1),
+               (7, 7, 7), (8, 8, 8, 1), (5, 4, 3, 3, 3), (9, 8, 7, 6, 5, 4, 3)]
+
+
+class _Reads(tuple):
+    """Jobs that record the highest index read, by iteration or indexing."""
+
+    def __new__(cls, p):
+        jobs = super().__new__(cls, p)
+        jobs.top = -1
+        return jobs
+
+    def __iter__(self):
+        for i, t in enumerate(tuple.__iter__(self)):
+            self.top = max(self.top, i)
+            yield t
+
+    def __getitem__(self, key):
+        read = range(len(self))[key]
+        if isinstance(read, int):
+            self.top = max(self.top, read)
+        elif read:
+            self.top = max(self.top, max(read))
+        return tuple.__getitem__(self, key)
+
+
+def _stop_index(p):
+    """The first job after which some subset of the jobs so far reaches W // 2."""
+    half, sums = sum(p) // 2, {0}
+    for i, t in enumerate(p):
+        sums |= {s + t for s in sums}
+        if half in sums:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("oracle", [dp_optimal_makespan, dp_optimal_assignment])
+def test_dp_forward_passes_read_no_job_past_the_first_perfect_split(oracle):
+    rng = np.random.default_rng(13)
+    insts = [Instance(p=p) for p in _STOP_CASES]
+    insts += [gen_uniform(n, 50, int(rng.integers(0, 1 << 32))) for n in (20, 30, 40)]
+    for inst in insts:
+        stop = _stop_index(inst.p)
+        expected = oracle(inst)
+        object.__setattr__(inst, "p", _Reads(inst.p))
+        assert oracle(inst) == expected
+        assert inst.p.top == (inst.n - 1 if stop is None else stop)
+    # a random instance well above log2(p_max) jobs splits perfectly early
+    assert stop < inst.n // 2
 
 
 def _stored_rows_assignment(inst):
@@ -81,9 +138,11 @@ def _stored_rows_assignment(inst):
 def test_dp_assignment_witness_matches_stored_rows_backtrack():
     # the printed witness bits of `solve --method dp --assignment` must not
     # change: one segment per job (n = 2, 3), segment ends at and around
-    # perfect squares, random sizes, many ties (small p_max), equal jobs
+    # perfect squares, random sizes, many ties (small p_max), equal jobs, and
+    # the stop cases
     rng = np.random.default_rng(11)
     insts = [Instance(p=(5,)), Instance(p=(1,) * 16), Instance(p=(7,) * 50)]
+    insts += [Instance(p=p) for p in _STOP_CASES]
     sizes = [2, 3, 15, 16, 17, 49, 50] + rng.integers(2, 61, size=20).tolist()
     for n in sizes:
         for max_p in (1, 2, 3, 10, 1000, 10**5):
@@ -175,6 +234,7 @@ def test_scans_match_naive_scan_across_many_chunks(monkeypatch, split):
     monkeypatch.setattr(oracles, "_LOW_JOBS", split)
     rng = np.random.default_rng(40 + split)
     insts = [Instance(p=(4,)), Instance(p=(3, 2)), Instance(p=(1,) * 11), Instance(p=(7,) * 8)]
+    insts += [Instance(p=p) for p in _STOP_CASES]
     for n in (split + 1, split + 2, 7, 9, 11):
         for max_p in (1, 2, 3, 10, 1000):
             insts.append(gen_uniform(n, max_p, int(rng.integers(0, 1 << 32))))
@@ -184,6 +244,28 @@ def test_scans_match_naive_scan_across_many_chunks(monkeypatch, split):
         value, witness = brute_force_optimum(inst)
         assert value == best
         assert witness.bits == [0] + [(first >> j) & 1 for j in range(inst.n - 1)]
+
+
+def test_brute_force_consumes_no_chunk_after_the_first_perfect_one(monkeypatch):
+    monkeypatch.setattr(oracles, "_LOW_JOBS", 2)
+    chunks, consumed = oracles._chunks, []
+
+    def counted(inst):
+        consumed.append(0)
+        for chunk in chunks(inst):
+            consumed[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(oracles, "_chunks", counted)
+    rng = np.random.default_rng(12)
+    insts = [Instance(p=p) for p in _STOP_CASES]
+    insts += [gen_uniform(n, 10, int(rng.integers(0, 1 << 32))) for n in (7, 9, 11)]
+    for inst in insts:
+        _, best, first = _naive_scan(inst)
+        value, witness = brute_force_optimum(inst)
+        assert value == best
+        perfect = 2 * best - inst.W == inst.W % 2
+        assert consumed[-1] == ((first >> 2) + 1 if perfect else max(1, 1 << (inst.n - 3)))
 
 
 def test_minimum_local_level_is_the_optimum():
