@@ -144,7 +144,7 @@ class _Ledger:
         if self.evals > self.budget:
             raise ContractViolationError("evaluation budget was exceeded")
         return TrialResult(
-            seed=seed,
+            seed=int(seed),  # a plain int, also when seed carries its generator state
             evaluations_used=self.evals,
             best_makespan=self.best_f,
             best_assignment=self.best_x,

@@ -2,7 +2,9 @@
 
 Each trial draws its own generator stream derived from (master seed, trial
 index), so a batch's results do not depend on execution order or worker
-count, and identical master seeds reproduce identical report bytes.
+count, and identical master seeds reproduce identical report bytes. The
+seeds of a range of trials, and their generators' seed words, are hashed in
+one vectorised pass that computes exactly what numpy's SeedSequence does.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .algorithms import (
     StopCondition,
@@ -55,6 +58,124 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4)
+# on uint32 arrays with one column per trial. Only array arithmetic is used:
+# it wraps silently, where numpy scalar arithmetic warns.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init times mult**j mod 2**32 for j = 0..count, as a uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_A = _hash_consts(_INIT_A, _MULT_A, 4 * _POOL)
+_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_CYCLE = np.arange(2 * _POOL) % _POOL  # the pool word behind each output word
+# Pool mixing, source s into every other word d: the (rows, old, new
+# multiplier) of each source's three hash calls, numbered 4 + 3s + rank(d).
+_MIX_STEPS = tuple(
+    (np.array([d for d in range(_POOL) if d != s]),
+     _A[4 + 3 * s:7 + 3 * s], _A[5 + 3 * s:8 + 3 * s])
+    for s in range(_POOL)
+)
+
+
+def _hashmix(v: np.ndarray, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    v = (v ^ old) * new
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    r ^= r >> 16
+    return r
+
+
+def _pool(entropy: list[np.ndarray], k: int) -> np.ndarray:
+    """SeedSequence(entropy).pool for k trials; each entropy row has k or 1 entries."""
+    pool = np.zeros((_POOL, k), dtype=np.uint32)
+    for row, words in zip(pool, entropy):
+        row[:] = words
+    pool = _hashmix(pool, _A[:_POOL], _A[1:_POOL + 1])
+    for s, (rows, old, new) in enumerate(_MIX_STEPS):
+        pool[rows] = _mix(pool[rows], _hashmix(pool[s], old, new))
+    if len(entropy) > _POOL:
+        # a long master seed: each extra word is mixed into all four
+        a = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
+        for j, words in enumerate(entropy[_POOL:], start=_POOL):
+            pool = _mix(pool, _hashmix(words, a[4 * j:4 * j + 4], a[4 * j + 1:4 * j + 5]))
+    return pool
+
+
+def _state_words(pool: np.ndarray, count: int) -> np.ndarray:
+    """SeedSequence.generate_state(count, uint32), one column per trial."""
+    return _hashmix(pool[_CYCLE[:count]], _B[:count], _B[1:count + 1])
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """Little-endian pairs of uint32 rows as uint64 rows, as generate_state
+    returns them for dtype uint64."""
+    words = words.astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+class _TrialSeed(int):
+    """A trial seed that carries the PCG64 seed words SeedSequence(seed)
+    generates, so that PCG64(seed) takes them instead of hashing again."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and dtype is np.uint64:
+            return self.words
+        return np.random.SeedSequence(int(self)).generate_state(n_words, dtype)
+
+
+ISeedSequence.register(_TrialSeed)
+
+# Trials hashed per pass: bounds the arrays of a long in-process range.
+_SEED_BLOCK = 4096
+
+
+def _trial_seeds(master_seed: int, start: int, stop: int) -> Iterator[_TrialSeed]:
+    """derive_seed(master_seed, i) for i in range(start, stop), each with its
+    generator's seed words."""
+    master_seed = int(master_seed)
+    # its entropy words as SeedSequence reads them: little-endian, 0 is [0]
+    master = [
+        np.array([master_seed >> b & _MASK32], dtype=np.uint32)
+        for b in range(0, master_seed.bit_length() or 1, 32)
+    ]
+    while start < stop:
+        end = min(stop, start + _SEED_BLOCK)
+        if start < 1 << 32 < end:
+            end = 1 << 32  # indices from 2**32 on are two entropy words
+        index = np.arange(start, end, dtype=np.uint64)
+        entropy = master + [(index & np.uint64(_MASK32)).astype(np.uint32)]
+        if start >> 32:
+            entropy.append((index >> np.uint64(32)).astype(np.uint32))
+        k = end - start
+        seed_words = _state_words(_pool(entropy, k), 2)
+        # SeedSequence(seed) reads the seed's words (lo, hi); a zero hi word
+        # hashes as the zero padding of a one-word seed does
+        # one contiguous row per trial: PCG64 reads the row's memory
+        words = _as_uint64(_state_words(_pool(list(seed_words), k), 8)).T.copy()
+        for value, w in zip(_as_uint64(seed_words)[0].tolist(), words):
+            seed = _TrialSeed(value)
+            seed.words = w
+            yield seed
+        start = end
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One batch: an instance, an algorithm with parameters, and a stop rule."""
@@ -87,6 +208,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ContractViolationError("experiment needs an instance")
     if config.trials < 1:
         raise ContractViolationError("trials must be at least 1")
+    if config.master_seed < 0:
+        raise ContractViolationError("seeds and indices must be non-negative")
     if config.algorithm not in ALGORITHMS:
         raise ContractViolationError(f"unknown algorithm {config.algorithm!r}")
     if config.algorithm == "ageing" and config.tau is None:
@@ -111,10 +234,9 @@ def _resolve_optimum(config: ExperimentConfig) -> int | None:
     return None
 
 
-def _execute_trial(config: ExperimentConfig, optimum: int | None, index: int) -> TrialResult:
+def _execute_trial(config: ExperimentConfig, optimum: int | None, seed: int) -> TrialResult:
     inst = config.instance
     assert inst is not None
-    seed = derive_seed(config.master_seed, index)
     stop = config.stop
     algo = config.algorithm
     if algo == "iahyp":
@@ -204,6 +326,16 @@ def pool_size(workers: int, trials: int) -> int:
     return max(1, min(workers, trials, os.cpu_count() or 1))
 
 
+def _execute_range(
+    config: ExperimentConfig, optimum: int | None, start: int, stop: int
+) -> list[TrialResult]:
+    """Trials start..stop-1, seeded in one pass."""
+    return [
+        _execute_trial(config, optimum, seed)
+        for seed in _trial_seeds(config.master_seed, start, stop)
+    ]
+
+
 # Contiguous trial ranges per worker; more than one evens out uneven trials.
 _CHUNKS_PER_WORKER = 4
 
@@ -215,17 +347,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     workers = pool_size(config.workers, config.trials)
     if workers > 1:
         # One task per range of trials, not per trial: the config and the
-        # instance are pickled once per range, and results keep trial order.
-        chunksize = math.ceil(config.trials / (_CHUNKS_PER_WORKER * workers))
+        # instance are pickled once per range, each worker seeds its own
+        # ranges, and results keep trial order.
+        step = math.ceil(config.trials / (_CHUNKS_PER_WORKER * workers))
+        starts = range(0, config.trials, step)
+        stops = [min(a + step, config.trials) for a in starts]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(
-                _execute_trial, repeat(config), repeat(optimum), range(config.trials),
-                chunksize=chunksize,
-            ))
+            results = tuple(chain.from_iterable(pool.map(
+                _execute_range, repeat(config), repeat(optimum), starts, stops,
+            )))
     else:
-        results = tuple(
-            _execute_trial(config, optimum, i) for i in range(config.trials)
-        )
+        results = tuple(_execute_range(config, optimum, 0, config.trials))
     return AggregateReport(
         config=config,
         optimum=optimum,

@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     Assignment,
     ContractViolationError,
-    EvaluationCounter,
     Instance,
     flip_in_place,
 )
@@ -40,12 +39,11 @@ def hypermutate_fcm(
     inst: Instance,
     x: Assignment,
     rng: Rng,
-    counter: EvaluationCounter | None = None,
     max_evals: int | None = None,
 ) -> tuple[Assignment, HypermutationTrace]:
     """Flip all bits of a copy of x in random order, stopping on improvement.
 
-    Every executed flip is evaluated and charged to the counter. The walk ends
+    Every executed flip is evaluated; trace.stopped_at counts them. The walk ends
     at the first flip that is strictly better than x (a constructive mutation),
     when max_evals flips have been spent, or after all n flips, in which case
     the result is the complement of x. Accepting or rejecting the returned
@@ -60,8 +58,6 @@ def hypermutate_fcm(
     for step in range(budget):
         flip_in_place(inst, y, order[step])
         fy = max(y.load1, y.load2)
-        if counter is not None:
-            counter.add()
         fitness_after.append(fy)
         if fy < fx:
             break

@@ -138,6 +138,18 @@ def test_run_rejects_stray_algorithm_flags(capsys):
     assert "restart" in stderr
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_rejects_a_negative_seed(monkeypatch, capsys, threads):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, _, stderr = _run(capsys, [
+        "run", "--family", "gstar", "--n", "8", "--s", "2", "--eps", "1/4",
+        "--algo", "iahyp", "--trials", "4", "--seed", "-1", "--budget", "100",
+        "--threads", threads,
+    ])
+    assert code == 2
+    assert "seeds and indices must be non-negative" in stderr
+
+
 def test_run_is_deterministic_and_writes_csv(tmp_path, capsys):
     outputs = []
     for name in ("a.csv", "b.csv"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from partition_ais import (
@@ -19,6 +20,8 @@ from partition_ais import (
     gen_g_star,
     gen_uniform,
     run_experiment,
+    run_ia_hyp,
+    run_mu_ea_ageing,
     run_rls,
     scaling_sweep,
 )
@@ -48,6 +51,51 @@ def test_derive_seed_is_deterministic_and_spread():
     assert derive_seed(5, 0) != derive_seed(6, 0)
     with pytest.raises(ContractViolationError):
         derive_seed(-1, 0)
+
+
+@pytest.mark.parametrize("master", [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96 + 7, 10**30,
+])
+def test_batched_seeds_and_generator_states_are_exact(master):
+    # the last range crosses 2**32, where an index becomes two entropy words
+    for start, stop in ((0, 1), (0, 37), (1000, 1257), (2**32 - 3, 2**32 + 3)):
+        seeds = list(harness._trial_seeds(master, start, stop))
+        assert seeds == [derive_seed(master, i) for i in range(start, stop)]
+        for seed in seeds:
+            assert np.random.PCG64(seed).state == np.random.PCG64(int(seed)).state
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    ("iahyp", {}),
+    ("ageing", {"mu": 3, "tau": 20}),
+])
+def test_every_trial_is_reproduced_by_its_runner(algorithm, extra):
+    config = _config(algorithm=algorithm, trials=37, **extra)
+    report = run_experiment(config)
+    for i, r in enumerate(report.results):
+        assert r.seed == derive_seed(77, i)
+        if algorithm == "iahyp":
+            direct = run_ia_hyp(G8, config.stop, r.seed, optimum=72)
+        else:
+            direct = run_mu_ea_ageing(G8, 3, 20, config.stop, r.seed, optimum=72)
+        assert direct == r
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_carry_plain_int_seeds(monkeypatch, workers):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    report = run_experiment(_config(algorithm="iahyp", trials=5, workers=workers))
+    assert all(type(r.seed) is int for r in report.results)
+
+
+def test_negative_master_seed_is_rejected_before_any_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ContractViolationError, match="seeds and indices must be non-negative"):
+        run_experiment(_config(master_seed=-1, workers=3))
 
 
 def test_single_trial_batch_reproduces_the_runner():
@@ -110,10 +158,10 @@ def test_fewer_trials_than_workers(monkeypatch, tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and the range
-    length it is handed, and starts no process."""
+    """Stands in for ProcessPoolExecutor: records its size, the chunk size
+    and the (start, stop) trial range of each task, and starts no process."""
 
-    calls: list[tuple[int, int]] = []
+    calls: list[tuple[int, int, list[tuple[int, int]]]] = []
 
     def __init__(self, max_workers: int) -> None:
         self.max_workers = max_workers
@@ -125,8 +173,9 @@ class _RecordingPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
-        self.calls.append((self.max_workers, chunksize))
-        return map(fn, *iterables)
+        tasks = list(zip(*iterables))  # config, optimum, start, stop
+        self.calls.append((self.max_workers, chunksize, [t[2:] for t in tasks]))
+        return (fn(*t) for t in tasks)
 
 
 def test_worker_processes_are_capped_in_the_harness(monkeypatch):
@@ -140,10 +189,12 @@ def test_worker_processes_are_capped_in_the_harness(monkeypatch):
 
     report = run_experiment(_config(trials=37, workers=1000))
     assert report.results == run_experiment(_config(trials=37)).results
-    # three workers, each handed about four contiguous ranges of trials
-    assert _RecordingPool.calls == [(3, 4)]
+    # three workers, each handed about four contiguous ranges of trials,
+    # one task per range
+    ranges = [(a, min(a + 4, 37)) for a in range(0, 37, 4)]
+    assert _RecordingPool.calls == [(3, 1, ranges)]
     run_experiment(_config(trials=2, workers=1000))
-    assert _RecordingPool.calls == [(3, 4), (2, 1)]
+    assert _RecordingPool.calls == [(3, 1, ranges), (2, 1, [(0, 1), (1, 2)])]
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert harness.pool_size(1000, 37) == 1
