@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -287,6 +289,56 @@ def test_sweep_merged_csv(tmp_path, capsys):
     assert len(lines) == 1 + 4
     assert sum(",8,gstar," in l for l in lines) == 2
     assert sum(",12,gstar," in l for l in lines) == 2
+
+
+# The exported bytes and the stdout of run and sweep for each target mode and
+# format, pinned by the first 16 hex digits of their SHA-256. The out= path is
+# masked in stdout. Sweep keeps terminated_by=ratio under its default target
+# (ratio 1 of each size's optimum) where run stops with terminated_by=target.
+_GOLDEN_SOURCES = {
+    "run": ["run", "--family", "gstar", "--n", "8"],
+    "sweep": ["sweep", "--n-list", "8,12"],
+}
+_GOLDEN_TARGETS = {"default": [], "ratio": ["--target-ratio", "5/4"], "none": ["--no-target"]}
+_GOLDEN = {
+    ("run", "default", "csv"): ("6dc788af2633bbfb", "07deb4a5485348f9"),
+    ("run", "default", "json"): ("20140c92b2c0761b", "a24ff797975edf0f"),
+    ("run", "ratio", "csv"): ("d537c2de3ed9c06b", "4830f3118e19d687"),
+    ("run", "ratio", "json"): ("e4919a511e2fabe8", "d430b76cc14e94f7"),
+    ("run", "none", "csv"): ("089071324e95ddaa", "f028e57653fdd19c"),
+    ("run", "none", "json"): ("1147e4f0782af5f3", "9b829218027da36b"),
+    ("sweep", "default", "csv"): ("61765c257cd11c7e", "db705802bc290111"),
+    ("sweep", "default", "json"): ("cad2ac83bc21d8bc", "25a76b001f30516c"),
+    ("sweep", "ratio", "csv"): ("20ef5a429e266d3f", "e1957a34745c8539"),
+    ("sweep", "ratio", "json"): ("23311700374322e2", "19d23bf85aeac2ed"),
+    ("sweep", "none", "csv"): ("59053ae6e6a3eb98", "27ef29367f006354"),
+    ("sweep", "none", "json"): ("fbd22125c58c03f9", "3d7b7e1ce00d71b6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN), ids="-".join)
+def test_run_and_sweep_export_the_pinned_bytes(tmp_path, capsys, case):
+    command, target, fmt = case
+    out = tmp_path / f"out.{fmt}"
+    code, stdout, _ = _run(capsys, _GOLDEN_SOURCES[command] + [
+        "--s", "2", "--eps", "1/4", "--algo", "ageing", "--mu", "2", "--tau", "30",
+        "--trials", "3", "--seed", "5", "--budget", "3000", "--threads", "1",
+        "--format", fmt, "--out", str(out),
+    ] + _GOLDEN_TARGETS[target])
+    assert code == 0
+    data = out.read_bytes()
+    if (target, fmt) == ("default", "csv"):
+        reasons = {line.split(",")[11] for line in data.decode().splitlines()[1:]}
+        assert reasons == {"target" if command == "run" else "ratio"}
+    if (command, fmt) == ("sweep", "json"):
+        sweeps = json.loads(data)["sweeps"]
+        assert [(s["n"], s["optimum"]) for s in sweeps] == [(8, 72), (12, 120)]
+        assert all(row["n"] == s["n"] for s in sweeps for row in s["trials"])
+    digests = tuple(
+        hashlib.sha256(b).hexdigest()[:16]
+        for b in (data, stdout.replace(str(out), "OUT").encode())
+    )
+    assert digests == _GOLDEN[case]
 
 
 def test_verify_suites_pass(capsys):
