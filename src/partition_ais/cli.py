@@ -17,14 +17,12 @@ from .algorithms import StopCondition
 from .core import ContractViolationError, Instance
 from .harness import (
     ALGORITHMS,
-    AggregateReport,
     ExperimentConfig,
-    _write_csv,
+    derive_seed,
     export_report,
+    export_sweep,
     pool_size,
-    report_rows,
     run_experiment,
-    scaling_sweep,
 )
 from .instances import (
     GStarParams,
@@ -146,40 +144,81 @@ def _validate_algo_flags(args: argparse.Namespace) -> None:
         raise ParameterError("--restart-len only applies to restart algorithms")
 
 
-def _resolve_run_target(
-    args: argparse.Namespace, inst: Instance
-) -> tuple[StopCondition, int | None, str]:
-    """Default target is the exact optimum; ratio and budget-only modes opt out."""
+# The default target text: each batch stops at its own instance's exact
+# optimum, whose value run prints in its place.
+_OPTIMUM_TARGET = "makespan<=optimum"
+
+
+def _target(args: argparse.Namespace) -> tuple[Fraction | None, str]:
+    """The target flags as (ratio, target= text); the text is "none" for a
+    budget-only batch and _OPTIMUM_TARGET for the default."""
     if args.target_ratio is not None and args.no_target:
         raise ParameterError("choose one of --target-ratio and --no-target")
     if args.target_ratio is not None:
         q, r = _parse_ratio(args.target_ratio, "--target-ratio")
-        try:
-            optimum = dp_optimal_makespan(inst)
-        except CapacityError:
-            raise ParameterError(
-                "--target-ratio needs the exact optimum and the dp solver "
-                "cannot handle this instance"
-            ) from None
-        return (
-            StopCondition(args.budget, target_ratio=Fraction(q, r)),
-            optimum,
-            f"ratio<={q}/{r}",
-        )
-    if args.no_target:
-        try:
-            optimum = dp_optimal_makespan(inst)
-        except CapacityError:
-            optimum = None
-        return StopCondition(args.budget), optimum, "none"
+        return Fraction(q, r), f"ratio<={q}/{r}"
+    return None, "none" if args.no_target else _OPTIMUM_TARGET
+
+
+def _optimum(inst: Instance, target: str) -> int | None:
+    """The DP optimum. A budget-only batch goes on without it where the dp
+    solver cannot handle the instance; a batch with a target cannot."""
     try:
-        optimum = dp_optimal_makespan(inst)
+        return dp_optimal_makespan(inst)
     except CapacityError:
+        if target == "none":
+            return None
+        if target == _OPTIMUM_TARGET:
+            raise ParameterError(
+                "the dp solver cannot resolve an optimum target for this instance; "
+                "rerun with --no-target for a budget-only experiment"
+            ) from None
         raise ParameterError(
-            "the dp solver cannot resolve an optimum target for this instance; "
-            "rerun with --no-target for a budget-only experiment"
+            "--target-ratio needs the exact optimum and the dp solver "
+            "cannot handle this instance"
         ) from None
-    return StopCondition(args.budget, target_makespan=optimum), optimum, f"makespan<={optimum}"
+
+
+def _batch_pairs(
+    args: argparse.Namespace, target: str, workers: int
+) -> list[tuple[str, object]]:
+    """The config: fields of run and sweep after those of the instance."""
+    return [
+        ("algo", args.algo),
+        ("mu", args.mu if args.algo == "ageing" else None),
+        ("tau", args.tau),
+        ("restart_len", args.restart_len),
+        ("trials", args.trials),
+        ("seed", args.seed),
+        ("budget", args.budget),
+        ("target", target),
+        ("threads", workers),
+        ("format", args.format),
+        ("out", args.out),
+    ]
+
+
+def _experiment(
+    args: argparse.Namespace,
+    inst: Instance,
+    stop: StopCondition,
+    optimum: int | None,
+    master_seed: int,
+    workers: int,
+) -> ExperimentConfig:
+    return ExperimentConfig(
+        instance=inst,
+        algorithm=args.algo,
+        trials=args.trials,
+        master_seed=master_seed,
+        stop=stop,
+        mu=args.mu,
+        tau=args.tau,
+        restart_length=args.restart_len,
+        optimum_source="provided" if optimum is not None else "none",
+        optimum=optimum,
+        workers=workers,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -200,34 +239,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         raise ParameterError("run needs an instance: --in or --family")
     _validate_algo_flags(args)
-    stop, optimum, target_desc = _resolve_run_target(args, inst)
+    ratio, target = _target(args)
+    optimum = _optimum(inst, target)
+    if target == _OPTIMUM_TARGET:
+        stop = StopCondition(args.budget, target_makespan=optimum)
+        target = f"makespan<={optimum}"
+    else:
+        stop = StopCondition(args.budget, target_ratio=ratio)
     workers = pool_size(args.threads, args.trials)
-    config = ExperimentConfig(
-        instance=inst,
-        algorithm=args.algo,
-        trials=args.trials,
-        master_seed=args.seed,
-        stop=stop,
-        mu=args.mu,
-        tau=args.tau,
-        restart_length=args.restart_len,
-        optimum_source="provided" if optimum is not None else "none",
-        optimum=optimum,
-        workers=workers,
-    )
-    print(_config_line("run", source_pairs + [
-        ("algo", args.algo),
-        ("mu", args.mu if args.algo == "ageing" else None),
-        ("tau", args.tau),
-        ("restart_len", args.restart_len),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("budget", args.budget),
-        ("target", target_desc),
-        ("threads", workers),
-        ("format", args.format),
-        ("out", args.out),
-    ]))
+    config = _experiment(args, inst, stop, optimum, args.seed, workers)
+    print(_config_line("run", source_pairs + _batch_pairs(args, target, workers)))
     report = run_experiment(config)
     if args.out is not None:
         export_report(report, args.format, args.out)
@@ -251,79 +272,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError("sweep needs --s and --eps for the gstar family")
     q, r = _parse_ratio(args.eps, "--eps")
     _validate_algo_flags(args)
-    if args.target_ratio is not None and args.no_target:
-        raise ParameterError("choose one of --target-ratio and --no-target")
-    if args.target_ratio is not None:
-        rq, rr = _parse_ratio(args.target_ratio, "--target-ratio")
-        stop = StopCondition(args.budget, target_ratio=Fraction(rq, rr))
-        target_desc = f"ratio<={rq}/{rr}"
-    elif args.no_target:
-        stop = StopCondition(args.budget)
-        target_desc = "none"
-    else:
+    ratio, target = _target(args)
+    if target == _OPTIMUM_TARGET:
         # Ratio 1 pins each size's target to its own exact optimum.
-        stop = StopCondition(args.budget, target_ratio=Fraction(1))
-        target_desc = "makespan<=optimum"
+        ratio = Fraction(1)
+    stop = StopCondition(args.budget, target_ratio=ratio)
     workers = pool_size(args.threads, args.trials)
     print(_config_line("sweep", [
         ("family", "gstar"),
         ("n_list", ",".join(str(n) for n in n_list)),
         ("s", args.s), ("eps", f"{q}/{r}"), ("scale", args.scale),
-        ("algo", args.algo),
-        ("mu", args.mu if args.algo == "ageing" else None),
-        ("tau", args.tau),
-        ("restart_len", args.restart_len),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("budget", args.budget),
-        ("target", target_desc),
-        ("threads", workers),
-        ("format", args.format),
-        ("out", args.out),
-    ]))
+    ] + _batch_pairs(args, target, workers)))
     if not n_list:
         return 0
-    template = ExperimentConfig(
-        instance=None,
-        algorithm=args.algo,
-        trials=args.trials,
-        master_seed=args.seed,
-        stop=stop,
-        mu=args.mu,
-        tau=args.tau,
-        restart_length=args.restart_len,
-        optimum_source="dp",
-        optimum=None,
-        workers=workers,
-    )
-    params = GStarParams(n=n_list[0], s=args.s, eps=(q, r), scale=args.scale)
-    reports = scaling_sweep(params, n_list, template)
+    reports = []
+    for n in n_list:
+        inst = gen_g_star(GStarParams(n=n, s=args.s, eps=(q, r), scale=args.scale))
+        optimum = _optimum(inst, target)
+        seed = derive_seed(args.seed, n)
+        config = _experiment(args, inst, stop, optimum, seed, workers)
+        reports.append(run_experiment(config))
     for n, rep in zip(n_list, reports):
         summary = " ".join(f"{k}={_fmt(v)}" for k, v in rep.summary.items())
         print(f"n={n} optimum={_fmt(rep.optimum)} {summary}")
     if args.out is not None:
-        _export_sweep(reports, n_list, args.format, args.out)
+        export_sweep(reports, args.format, args.out)
     return 0
-
-
-def _export_sweep(
-    reports: list[AggregateReport], n_list: list[int], format: str, path: str
-) -> None:
-    if format == "csv":
-        rows = [row for rep in reports for row in report_rows(rep)]
-        _write_csv(rows, path)
-    elif format == "json":
-        import json
-
-        payload = {"sweeps": [
-            {"n": n, "optimum": rep.optimum, "trials": report_rows(rep), "summary": rep.summary}
-            for n, rep in zip(n_list, reports)
-        ]}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2))
-            fh.write("\n")
-    else:
-        raise ContractViolationError(f"unknown export format {format!r}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

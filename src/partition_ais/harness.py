@@ -15,7 +15,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, Sequence
 
@@ -32,7 +32,6 @@ from .algorithms import (
     run_with_restarts,
 )
 from .core import ContractViolationError, Instance
-from .instances import GStarParams, gen_g_star
 from .oracles import (
     CapacityError,
     # not called here: perfbench/run.py traces the oracles in this namespace
@@ -366,22 +365,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     )
 
 
-def scaling_sweep(
-    params: GStarParams, n_list: Sequence[int], template: ExperimentConfig
-) -> list[AggregateReport]:
-    """One experiment per n; per-n master seeds derive from the shared seed."""
-    reports = []
-    for n in n_list:
-        inst = gen_g_star(replace(params, n=n))
-        config = replace(
-            template,
-            instance=inst,
-            master_seed=derive_seed(template.master_seed, n),
-        )
-        reports.append(run_experiment(config))
-    return reports
-
-
 def report_rows(report: AggregateReport) -> list[dict[str, object]]:
     """Per-trial rows in export column order; None marks an empty cell."""
     config = report.config
@@ -408,25 +391,36 @@ def report_rows(report: AggregateReport) -> list[dict[str, object]]:
     return rows
 
 
-def _write_csv(rows: list[dict[str, object]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                ["" if row[c] is None else row[c] for c in CSV_COLUMNS]
-            )
-
-
-def export_report(report: AggregateReport, format: str, path: str) -> None:
-    """Write one report; identical reports produce identical bytes."""
-    rows = report_rows(report)
+def _write(rows: list[dict[str, object]], payload: object, format: str, path: str) -> None:
+    """The rows as CSV, or the payload as JSON; equal input gives equal bytes."""
     if format == "csv":
-        _write_csv(rows, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for row in rows:
+                writer.writerow(
+                    ["" if row[c] is None else row[c] for c in CSV_COLUMNS]
+                )
     elif format == "json":
-        payload = {"trials": rows, "summary": report.summary}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(payload, indent=2))
             fh.write("\n")
     else:
         raise ContractViolationError(f"unknown export format {format!r}")
+
+
+def export_report(report: AggregateReport, format: str, path: str) -> None:
+    """Write one report; identical reports produce identical bytes."""
+    rows = report_rows(report)
+    _write(rows, {"trials": rows, "summary": report.summary}, format, path)
+
+
+def export_sweep(reports: Sequence[AggregateReport], format: str, path: str) -> None:
+    """Write one report per size: their CSV rows in turn, or a JSON entry each."""
+    sweeps = [
+        {"n": rep.config.instance.n, "optimum": rep.optimum,
+         "trials": report_rows(rep), "summary": rep.summary}
+        for rep in reports
+    ]
+    rows = [row for entry in sweeps for row in entry["trials"]]
+    _write(rows, {"sweeps": sweeps}, format, path)

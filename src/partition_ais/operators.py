@@ -89,25 +89,12 @@ def hypermutation_full_trajectory(
     return out
 
 
-def trajectory_ones_counts(n: int, x: Sequence[int], rng: Rng) -> list[int]:
-    """Ones count after each step of one random flip permutation.
-
-    Consumes the same single permutation draw as hypermutation_full_trajectory,
-    so both produce identical walks from identical generator states.
-    """
-    if len(x) != n:
-        raise ContractViolationError(f"bitstring length {len(x)} does not match n={n}")
-    order = rng.permutation(n)
-    steps = np.where(np.asarray(x, dtype=np.int64)[order] == 1, -1, 1)
-    return (int(sum(x)) + np.cumsum(steps)).tolist()
-
-
 def flip_orders(n: int, rng: Rng, walks: int) -> np.ndarray:
     """The flip orders of `walks` successive walks on n bits, one per row.
 
     One batched draw that consumes the generator exactly as `walks` successive
     rng.permutation(n) calls do, so row i is the order of the i-th of that
-    many hypermutation_full_trajectory or trajectory_ones_counts walks.
+    many hypermutation_full_trajectory walks.
     """
     return rng.permuted(np.broadcast_to(np.arange(n), (walks, n)), axis=1)
 

@@ -6,7 +6,6 @@ routes to the optimal makespan; tests hold them against each other.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -35,19 +34,6 @@ class LocalOptimaSummary:
     def count_above(self, threshold: int | Fraction) -> int:
         """How many distinct locally optimal makespans lie strictly above threshold."""
         return sum(1 for v in self.distinct_makespans if v > threshold)
-
-
-@dataclass(frozen=True)
-class IntervalCounts:
-    """Evaluations binned by the locally-optimal makespan levels.
-
-    Bin i covers [boundaries[i], boundaries[i+1]); the last bin is open above.
-    interior_counts exclude evaluations sitting exactly on a boundary level.
-    """
-
-    boundaries: tuple[int, ...]
-    counts: tuple[int, ...]
-    interior_counts: tuple[int, ...]
 
 
 def _dp_guard(inst: Instance) -> None:
@@ -252,26 +238,3 @@ def g_star_local_optima(inst: Instance) -> tuple[int, ...]:
                 found.add(max(load1, load2))
     return tuple(sorted(found))
 
-
-def interval_progress_stat(
-    inst: Instance, trace: Sequence[int], summary: LocalOptimaSummary
-) -> IntervalCounts:
-    """Bin a run's per-evaluation fitness values by locally-optimal levels."""
-    bounds = summary.distinct_makespans
-    if not bounds:
-        raise ContractViolationError("summary holds no locally optimal makespans")
-    counts = [0] * len(bounds)
-    interior = [0] * len(bounds)
-    levels = set(bounds)
-    for f in trace:
-        i = bisect_right(bounds, f) - 1
-        if i < 0:
-            raise ContractViolationError(
-                f"fitness {f} lies below the known minimum level {bounds[0]}"
-            )
-        counts[i] += 1
-        if f not in levels:
-            interior[i] += 1
-    return IntervalCounts(
-        boundaries=bounds, counts=tuple(counts), interior_counts=tuple(interior)
-    )

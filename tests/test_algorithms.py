@@ -23,7 +23,6 @@ from partition_ais import (
     enumerate_local_optima,
     gen_g_star,
     gen_uniform,
-    interval_progress_stat,
     restart_length_for_ratio,
     run_ia_hyp,
     run_mu_ea_ageing,
@@ -82,13 +81,12 @@ def test_ratio_target_reports_its_own_reason():
 
 
 def test_trace_matches_evaluations_and_bins_sum():
-    summary = enumerate_local_optima(G8)
+    lowest = enumerate_local_optima(G8).distinct_makespans[0]
     for seed in range(10):
         r = run_rls(G8, StopCondition(500), seed, record_trace=True)
         assert r.fitness_trace is not None
         assert len(r.fitness_trace) == r.evaluations_used
-        bins = interval_progress_stat(G8, r.fitness_trace, summary)
-        assert sum(bins.counts) == r.evaluations_used
+        assert min(r.fitness_trace) >= lowest
 
 
 def test_hypermutation_runner_trace_covers_walk_interiors():

@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from partition_ais import cli, harness
+from partition_ais import GStarParams, StopCondition, cli, gen_g_star, harness
 from partition_ais.cli import main
 
 
@@ -275,6 +276,70 @@ def test_sweep_with_empty_n_list_is_a_no_op(capsys):
     assert code == 0
     assert stdout.startswith("config: command=sweep")
     assert not [l for l in stdout.splitlines() if l.startswith("n=")]
+
+
+@pytest.mark.parametrize("n_list", ["8", "8,12"])
+def test_sweep_seeds_each_size_from_the_shared_seed(tmp_path, capsys, n_list):
+    """The rows and summary of size n are those of one batch with master seed
+    derive_seed(seed, n) that stops at ratio 1 of its own optimum."""
+    out = tmp_path / "sweep.json"
+    code, _, _ = _run(capsys, [
+        "sweep", "--n-list", n_list, "--s", "2", "--eps", "1/4",
+        "--algo", "rls", "--trials", "4", "--seed", "9",
+        "--budget", "3000", "--threads", "1", "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    sweeps = json.loads(out.read_text())["sweeps"]
+    assert [s["n"] for s in sweeps] == [int(n) for n in n_list.split(",")]
+    for entry in sweeps:
+        n = entry["n"]
+        report = harness.run_experiment(harness.ExperimentConfig(
+            instance=gen_g_star(GStarParams(n=n, s=2, eps=(1, 4))),
+            algorithm="rls",
+            trials=4,
+            master_seed=harness.derive_seed(9, n),
+            stop=StopCondition(3000, target_ratio=Fraction(1)),
+            optimum_source="dp",
+        ))
+        expected = {"n": n, "optimum": report.optimum,
+                    "trials": harness.report_rows(report), "summary": report.summary}
+        assert entry == json.loads(json.dumps(expected))
+
+
+# gstar at n=64 and scale 10^6 is beyond the dp solver's capacity guard.
+_DP_INFEASIBLE = {
+    "run": ["run", "--family", "gstar", "--n", "64"],
+    "sweep": ["sweep", "--n-list", "64"],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_budget_only_batch_on_a_dp_infeasible_size(tmp_path, capsys, command):
+    out = tmp_path / "rows.csv"
+    argv = _DP_INFEASIBLE[command] + [
+        "--s", "2", "--eps", "1/4", "--scale", "1000000", "--algo", "rls",
+        "--trials", "2", "--budget", "50", "--threads", "1",
+    ]
+    code, stdout, stderr = _run(capsys, argv + ["--no-target", "--out", str(out)])
+    assert (code, stderr) == (0, "")
+    assert " target=none " in stdout.splitlines()[0]
+    assert "optimum=- " in stdout.splitlines()[1]
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.split(",")[9:11] == ["", ""] for row in rows)
+
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert stderr == (
+        "error: the dp solver cannot resolve an optimum target for this "
+        "instance; rerun with --no-target for a budget-only experiment\n"
+    )
+    code, stdout, stderr = _run(capsys, argv + ["--target-ratio", "3/2"])
+    assert code == 2
+    assert stderr == (
+        "error: --target-ratio needs the exact optimum and the dp solver "
+        "cannot handle this instance\n"
+    )
 
 
 def test_sweep_merged_csv(tmp_path, capsys):

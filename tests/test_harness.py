@@ -23,7 +23,6 @@ from partition_ais import (
     run_ia_hyp,
     run_mu_ea_ageing,
     run_rls,
-    scaling_sweep,
 )
 from partition_ais import harness
 from partition_ais.harness import CSV_COLUMNS
@@ -304,24 +303,3 @@ def test_oracle_capacity_surfaces_before_any_trial():
     huge = Instance(p=(1 << 61, 1 << 61))
     with pytest.raises(CapacityError):
         run_experiment(_config(instance=huge, stop=StopCondition(100)))
-
-
-def test_scaling_sweep_structure():
-    template = _config(
-        instance=None, trials=3,
-        stop=StopCondition(3000, target_ratio=None, target_makespan=None),
-        optimum_source="dp",
-    )
-    params = GStarParams(n=8, s=2, eps=(1, 4))
-    reports = scaling_sweep(params, [8, 12], template)
-    assert len(reports) == 2
-    assert [rep.config.instance.n for rep in reports] == [8, 12]
-    assert [rep.optimum for rep in reports] == [72, 120]
-    assert scaling_sweep(params, [], template) == []
-
-    single = scaling_sweep(params, [8], template)[0]
-    direct = run_experiment(
-        _config(trials=3, stop=StopCondition(3000), optimum_source="dp",
-                master_seed=derive_seed(77, 8))
-    )
-    assert single.results == direct.results

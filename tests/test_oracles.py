@@ -23,7 +23,6 @@ from partition_ais import (
     g_star_local_optima,
     gen_g_star,
     gen_uniform,
-    interval_progress_stat,
     is_local_optimum,
     lpt,
     oracles,
@@ -302,23 +301,12 @@ def test_analytic_routine_rejects_foreign_instances():
         g_star_local_optima(tagged)
 
 
-def test_interval_stat_binning():
-    inst = gen_g_star(GStarParams(12, 2, (1, 4)))
-    summary = enumerate_local_optima(inst)
-    bins = interval_progress_stat(inst, [135, 130, 125, 120], summary)
-    assert bins.boundaries == (120, 130)
-    assert bins.counts == (2, 2)
-    assert bins.interior_counts == (1, 1)
-    with pytest.raises(ContractViolationError):
-        interval_progress_stat(inst, [119], summary)
-
-
 def test_hypermutation_interior_time_is_short():
     # evaluations spent strictly between locally optimal levels stay far
     # below 20 n^2 per run on the hard family
     inst = gen_g_star(GStarParams(16, 2, (1, 4)))
-    summary = enumerate_local_optima(inst)
-    optimum = summary.distinct_makespans[0]
+    levels = enumerate_local_optima(inst).distinct_makespans
+    optimum = levels[0]
     total_interior = 0
     runs = 100
     for seed in range(runs):
@@ -326,7 +314,7 @@ def test_hypermutation_interior_time_is_short():
             inst, StopCondition(200 * 16 * 16, target_makespan=optimum), seed,
             record_trace=True,
         )
-        bins = interval_progress_stat(inst, r.fitness_trace, summary)
-        assert sum(bins.counts) == r.evaluations_used
-        total_interior += sum(bins.interior_counts)
+        assert len(r.fitness_trace) == r.evaluations_used
+        assert min(r.fitness_trace) >= optimum
+        total_interior += sum(f not in levels for f in r.fitness_trace)
     assert total_interior / runs <= 20 * 16 * 16
