@@ -29,7 +29,6 @@ from .instances import (
     InstanceFormatError,
     ParameterError,
     gen_g_star,
-    gen_p_star,
     gen_uniform,
     read_instance,
     write_instance,
@@ -44,12 +43,13 @@ from .oracles import (
 
 
 def _parse_ratio(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split("/")
-    if len(parts) == 2:
-        try:
-            return int(parts[0]), int(parts[1])
-        except ValueError:
-            pass
+    try:
+        q, r = (int(part) for part in text.split("/"))
+    except ValueError:  # not two parts, or a part is not an integer
+        pass
+    else:
+        if r != 0:
+            return q, r
     raise ParameterError(f"{flag} must be a rational q/r, got {text!r}")
 
 
@@ -81,12 +81,6 @@ def _instance_from_family(
         q, r = _parse_ratio(eps, "--eps")
         inst = gen_g_star(GStarParams(n=n, s=s, eps=(q, r), scale=scale))
         pairs = [("family", family), ("n", n), ("s", s), ("eps", f"{q}/{r}"), ("scale", scale)]
-    elif family == "pstar":
-        if eps is None:
-            raise ParameterError("family pstar needs --eps")
-        q, r = _parse_ratio(eps, "--eps")
-        inst = gen_p_star(n, (q, r), scale)
-        pairs = [("family", family), ("n", n), ("eps", f"{q}/{r}"), ("scale", scale)]
     else:
         if max_p is None:
             raise ParameterError("family uniform needs --max-p")
@@ -278,6 +272,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ratio = Fraction(1)
     stop = StopCondition(args.budget, target_ratio=ratio)
     workers = pool_size(args.threads, args.trials)
+    # Every size resolves before any batch runs or prints, as run's one batch does.
+    configs = []
+    for n in n_list:
+        inst = gen_g_star(GStarParams(n=n, s=args.s, eps=(q, r), scale=args.scale))
+        optimum = _optimum(inst, target)
+        seed = derive_seed(args.seed, n)
+        configs.append(_experiment(args, inst, stop, optimum, seed, workers))
     print(_config_line("sweep", [
         ("family", "gstar"),
         ("n_list", ",".join(str(n) for n in n_list)),
@@ -285,13 +286,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ] + _batch_pairs(args, target, workers)))
     if not n_list:
         return 0
-    reports = []
-    for n in n_list:
-        inst = gen_g_star(GStarParams(n=n, s=args.s, eps=(q, r), scale=args.scale))
-        optimum = _optimum(inst, target)
-        seed = derive_seed(args.seed, n)
-        config = _experiment(args, inst, stop, optimum, seed, workers)
-        reports.append(run_experiment(config))
+    reports = [run_experiment(config) for config in configs]
     for n, rep in zip(n_list, reports):
         summary = " ".join(f"{k}={_fmt(v)}" for k, v in rep.summary.items())
         print(f"n={n} optimum={_fmt(rep.optimum)} {summary}")
@@ -303,17 +298,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Imported here: only verify uses the checks, and without cached bytecode
     # compiling them adds about 10 ms to the start of every other command.
-    from .checks import ORACLE_SEED, SUITES, TRAJECTORY_SEED, run_suite
+    from .checks import DEFAULT_SEEDS, SUITES, run_suite
 
     if args.suite not in SUITES:
         raise ParameterError(f"unknown suite {args.suite!r}; choose one of {', '.join(SUITES)}")
-    default_seeds = {"oracles": ORACLE_SEED, "trajectories": TRAJECTORY_SEED}
+    resolved_seed = DEFAULT_SEEDS[args.suite] if args.seed is None else args.seed
     if args.seed is not None:
-        if args.suite not in default_seeds:
+        if DEFAULT_SEEDS[args.suite] is None:
             raise ParameterError(f"suite {args.suite!r} takes no seed")
         if args.seed < 0:
             raise ParameterError("seeds must be non-negative")
-    resolved_seed = args.seed if args.seed is not None else default_seeds.get(args.suite)
     print(_config_line("verify", [("suite", args.suite), ("seed", resolved_seed)]))
     results = run_suite(args.suite, args.seed)
     for res in results:
@@ -349,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write an instance file")
-    g.add_argument("--family", required=True, choices=("gstar", "pstar", "uniform"))
+    g.add_argument("--family", required=True, choices=("gstar", "uniform"))
     g.add_argument("--n", required=True, type=int)
     g.add_argument("--s", type=int)
     g.add_argument("--eps")
@@ -367,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run one experiment batch")
     r.add_argument("--in", dest="infile")
-    r.add_argument("--family", choices=("gstar", "pstar", "uniform"))
+    r.add_argument("--family", choices=("gstar", "uniform"))
     r.add_argument("--n", type=int)
     r.add_argument("--s", type=int)
     r.add_argument("--eps")

@@ -80,10 +80,6 @@ class Assignment:
     def makespan(self) -> int:
         return max(self.load1, self.load2)
 
-    @property
-    def discrepancy(self) -> int:
-        return abs(self.load1 - self.load2)
-
 
 @dataclass
 class EvaluationCounter:
@@ -156,10 +152,3 @@ def is_local_optimum(inst: Instance, x: Assignment) -> bool:
         if x.bits[i] == fuller:
             return inst.p[i] >= disc
     return True
-
-
-def complement(x: Assignment) -> Assignment:
-    """Machine-relabeled copy: all bits toggled, loads swapped, equal makespan."""
-    return Assignment(
-        bits=[1 - b for b in x.bits], load1=x.load2, load2=x.load1
-    )

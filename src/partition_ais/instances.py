@@ -96,11 +96,6 @@ def gen_g_star(params: GStarParams) -> Instance:
     return Instance(p=p, meta=meta)
 
 
-def gen_p_star(n: int, eps: tuple[int, int], scale: int = 1) -> Instance:
-    """Two-heavy-job special case; bit-identical to gen_g_star with s=2."""
-    return gen_g_star(GStarParams(n=n, s=2, eps=eps, scale=scale))
-
-
 def gen_uniform(n: int, max_p: int, seed: int) -> Instance:
     """n processing times drawn uniformly from [1, max_p], sorted non-increasing."""
     if n < 2:

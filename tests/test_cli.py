@@ -40,17 +40,6 @@ def test_generate_writes_golden_gstar_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == expected
 
 
-def test_pstar_writes_the_same_file_as_gstar(tmp_path, capsys):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    assert main(["generate", "--family", "gstar", "--n", "8", "--s", "2",
-                 "--eps", "1/4", "--out", str(a)]) == 0
-    assert main(["generate", "--family", "pstar", "--n", "8",
-                 "--eps", "1/4", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_generate_odd_n_fails_with_validation_code(tmp_path, capsys):
     code, _, stderr = _run(capsys, [
         "generate", "--family", "gstar", "--n", "9", "--s", "2",
@@ -340,6 +329,66 @@ def test_budget_only_batch_on_a_dp_infeasible_size(tmp_path, capsys, command):
         "error: --target-ratio needs the exact optimum and the dp solver "
         "cannot handle this instance\n"
     )
+
+
+_GSTAR8 = {
+    "run": ["run", "--family", "gstar", "--n", "8"],
+    "sweep": ["sweep", "--n-list", "8"],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_zero_denominator_is_a_validation_error(capsys, command):
+    argv = _GSTAR8[command] + [
+        "--s", "2", "--algo", "rls", "--budget", "100", "--threads", "1",
+    ]
+    code, stdout, stderr = _run(capsys, argv + ["--eps", "1/4", "--target-ratio", "1/0"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: --target-ratio must be a rational q/r, got '1/0'\n"
+    code, stdout, stderr = _run(capsys, argv + ["--eps", "1/0"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: --eps must be a rational q/r, got '1/0'\n"
+
+
+def _no_batch(config):
+    raise AssertionError("a batch ran before every size was resolved")
+
+
+@pytest.mark.parametrize("n_list, extra, message", [
+    ("8,9", ["--no-target"], "n must be an even number of jobs"),
+    ("8,64", ["--scale", "1000000"],
+     "the dp solver cannot resolve an optimum target for this instance; "
+     "rerun with --no-target for a budget-only experiment"),
+], ids=["odd-size", "dp-infeasible-size"])
+def test_sweep_rejects_a_bad_size_before_the_first_batch(
+    monkeypatch, capsys, n_list, extra, message
+):
+    monkeypatch.setattr(cli, "run_experiment", _no_batch)
+    code, stdout, stderr = _run(capsys, [
+        "sweep", "--n-list", n_list, "--s", "2", "--eps", "1/4", "--algo", "rls",
+        "--trials", "2", "--budget", "100", "--threads", "1",
+    ] + extra)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
+def test_a_mistagged_gstar_file_runs_without_a_stuck_rate(tmp_path, capsys):
+    """A gstar tag on times that are not two-valued, beyond the enumeration
+    limit: the closed form declines the instance and the batch still exports."""
+    inst = tmp_path / "mistagged.txt"
+    inst.write_text(
+        "partition v1\nn=26\nmeta=gstar;s=2;eps=1/4;scale=1\n"
+        + "".join(f"{t}\n" for t in range(60, 34, -1))
+    )
+    out = tmp_path / "rows.json"
+    code, stdout, stderr = _run(capsys, [
+        "run", "--in", str(inst), "--algo", "rls", "--trials", "3", "--budget", "500",
+        "--threads", "1", "--format", "json", "--out", str(out),
+    ])
+    assert (code, stderr) == (0, "")
+    assert " stuck_rate=- " in stdout
+    data = json.loads(out.read_text())
+    assert len(data["trials"]) == 3
+    assert data["summary"]["stuck_rate"] is None
 
 
 def test_sweep_merged_csv(tmp_path, capsys):

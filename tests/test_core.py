@@ -11,7 +11,6 @@ from partition_ais import (
     EvaluationCounter,
     Instance,
     InstanceMeta,
-    complement,
     flip_in_place,
     is_local_optimum,
     makespan,
@@ -57,7 +56,6 @@ def test_from_bits_computes_loads():
     x = Assignment.from_bits(inst, [0, 1, 1])
     assert (x.load1, x.load2) == (5, 5)
     assert x.makespan == 5
-    assert x.discrepancy == 0
 
 
 def test_from_bits_rejects_wrong_length_and_values():
@@ -138,14 +136,3 @@ def test_is_local_optimum_matches_naive_flip_scan():
 def test_balanced_assignment_is_locally_optimal():
     inst = Instance(p=(5, 3, 2))
     assert is_local_optimum(inst, Assignment.from_bits(inst, [0, 1, 1]))
-
-
-def test_complement_swaps_machines():
-    inst = Instance(p=(5, 3, 2))
-    x = Assignment.from_bits(inst, [0, 0, 1])
-    y = complement(x)
-    assert y.bits == [1, 1, 0]
-    assert (y.load1, y.load2) == (x.load2, x.load1)
-    assert y.makespan == x.makespan
-    # the original is untouched
-    assert x.bits == [0, 0, 1]

@@ -269,6 +269,21 @@ def test_stuck_rate_enumerated_and_analytic_paths():
     assert big.summary["stuck_rate"] == stuck / 10
 
 
+def test_stuck_rate_from_the_closed_form_beyond_enumeration():
+    """At W >= 2^62 enumeration declines a small gstar instance, and the
+    closed form gives its local optima: 72 and 78 times the scale."""
+    scale = 10**18
+    report = run_experiment(_config(
+        instance=gen_g_star(GStarParams(n=8, s=2, eps=(1, 4), scale=scale)),
+        trials=20,
+        stop=StopCondition(3000),
+        optimum_source="none",
+    ))
+    stuck = sum(r.best_makespan == 78 * scale for r in report.results)
+    assert 0 < stuck < 20
+    assert report.summary["stuck_rate"] == stuck / 20
+
+
 def test_stuck_rate_unavailable_for_large_foreign_instances():
     config = _config(
         instance=gen_uniform(30, 50, seed=9),

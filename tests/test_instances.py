@@ -10,7 +10,6 @@ from partition_ais import (
     InstanceFormatError,
     ParameterError,
     gen_g_star,
-    gen_p_star,
     gen_uniform,
     read_instance,
     write_instance,
@@ -45,13 +44,6 @@ def test_gstar_eps_is_reduced():
     b = gen_g_star(GStarParams(n=8, s=2, eps=(1, 4)))
     assert a == b
     assert a.meta.eps == (1, 4)
-
-
-def test_pstar_is_gstar_with_two_heavies():
-    for n, eps, scale in [(8, (1, 4), 1), (16, (1, 8), 1), (12, (1, 4), 5)]:
-        assert gen_p_star(n, eps, scale) == gen_g_star(
-            GStarParams(n=n, s=2, eps=eps, scale=scale)
-        )
 
 
 def test_gstar_parameter_validation():
