@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     Assignment,
     ContractViolationError,
-    EvaluationCounter,
     Instance,
     flip_in_place,
     is_local_optimum,
@@ -87,21 +86,15 @@ def _random_assignment(inst: Instance, rng: Rng) -> Assignment:
 
 
 class _Ledger:
-    """One trial's evaluation account: the count, the optional counter, the
-    trace, best-so-far, the event log, and the stop condition."""
+    """One trial's evaluation account: the count, the trace, best-so-far, the
+    event log, and the stop condition."""
 
     def __init__(
-        self,
-        inst: Instance,
-        stop: StopCondition,
-        optimum: int | None,
-        counter: EvaluationCounter | None,
-        record_trace: bool,
+        self, inst: Instance, stop: StopCondition, optimum: int | None, record_trace: bool
     ) -> None:
         self.inst = inst
         self.budget = stop.max_evaluations
         self.target, self.ratio_target = stop.resolve_targets(optimum)
-        self.counter = counter
         self.trace: list[int] | None = [] if record_trace else None
         self.log: list[tuple[int, str]] = []
         self.evals = 0
@@ -115,10 +108,7 @@ class _Ledger:
 
     def charge(self, *makespans: int) -> None:
         """One evaluation per makespan given, in order."""
-        k = len(makespans)
-        self.evals += k
-        if self.counter is not None:
-            self.counter.add(k)
+        self.evals += len(makespans)
         if self.trace is not None:
             self.trace.extend(makespans)
 
@@ -185,13 +175,12 @@ def run_one_one_ea(
     seed: int,
     *,
     optimum: int | None = None,
-    counter: EvaluationCounter | None = None,
     record_trace: bool = False,
 ) -> TrialResult:
     """Single parent, standard bit mutation, accept offspring iff not worse."""
     return run_with_restarts(
         "ea", inst, stop.max_evaluations, stop, seed,
-        optimum=optimum, counter=counter, record_trace=record_trace,
+        optimum=optimum, record_trace=record_trace,
     )
 
 
@@ -201,13 +190,12 @@ def run_rls(
     seed: int,
     *,
     optimum: int | None = None,
-    counter: EvaluationCounter | None = None,
     record_trace: bool = False,
 ) -> TrialResult:
     """Single parent, one uniformly chosen bit flip, accept iff not worse."""
     return run_with_restarts(
         "rls", inst, stop.max_evaluations, stop, seed,
-        optimum=optimum, counter=counter, record_trace=record_trace,
+        optimum=optimum, record_trace=record_trace,
     )
 
 
@@ -217,7 +205,6 @@ def run_ia_hyp(
     seed: int,
     *,
     optimum: int | None = None,
-    counter: EvaluationCounter | None = None,
     record_trace: bool = False,
 ) -> TrialResult:
     """Hypermutation walks with first-constructive stops; accept iff not worse.
@@ -225,7 +212,7 @@ def run_ia_hyp(
     A walk that finds no strict improvement flips all n bits and therefore
     hands back the complement, which ties and is accepted.
     """
-    led = _Ledger(inst, stop, optimum, counter, record_trace)
+    led = _Ledger(inst, stop, optimum, record_trace)
     rng = _rng(seed)
     x = _random_assignment(inst, rng)
     fx = x.makespan
@@ -252,7 +239,6 @@ def run_mu_ea_ageing(
     seed: int,
     *,
     optimum: int | None = None,
-    counter: EvaluationCounter | None = None,
     record_trace: bool = False,
 ) -> TrialResult:
     """Population of mu with ageing: stale individuals die at age tau.
@@ -268,7 +254,7 @@ def run_mu_ea_ageing(
         raise ContractViolationError("mu must be at least 1")
     if tau < 1:
         raise ContractViolationError("tau must be at least 1")
-    led = _Ledger(inst, stop, optimum, counter, record_trace)
+    led = _Ledger(inst, stop, optimum, record_trace)
     rng = _rng(seed)
     stream = MutationStream(rng, inst.n)
     # an individual is (fitness, birth generation, assignment), kept sorted by
@@ -336,7 +322,6 @@ def run_with_restarts(
     seed: int,
     *,
     optimum: int | None = None,
-    counter: EvaluationCounter | None = None,
     record_trace: bool = False,
 ) -> TrialResult:
     """Independent segments of restart_length evaluations on one seed stream.
@@ -350,7 +335,7 @@ def run_with_restarts(
         raise ContractViolationError("restart wrapper supports algo 'ea' or 'rls'")
     if restart_length < 1:
         raise ContractViolationError("restart_length must be at least 1")
-    led = _Ledger(inst, stop, optimum, counter, record_trace)
+    led = _Ledger(inst, stop, optimum, record_trace)
     rng = _rng(seed)
     stream = MutationStream(rng, inst.n)
     draw = stream.sbm_flips if algo == "ea" else stream.one_flip

@@ -18,6 +18,7 @@ from .core import ContractViolationError, Instance
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
+    check_batch_parameters,
     derive_seed,
     export_report,
     export_sweep,
@@ -123,21 +124,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_algo_flags(args: argparse.Namespace) -> None:
-    if args.algo == "ageing":
-        if args.tau is None:
-            raise ParameterError("the ageing algorithm needs --tau")
-    elif args.tau is not None:
-        raise ParameterError("--tau only applies to --algo ageing")
-    if args.mu != 1 and args.algo != "ageing":
-        raise ParameterError("--mu only applies to --algo ageing")
-    if args.algo.endswith("-restart"):
-        if args.restart_len is None:
-            raise ParameterError(f"{args.algo} needs --restart-len")
-    elif args.restart_len is not None:
-        raise ParameterError("--restart-len only applies to restart algorithms")
-
-
 # The default target text: each batch stops at its own instance's exact
 # optimum, whose value run prints in its place.
 _OPTIMUM_TARGET = "makespan<=optimum"
@@ -232,7 +218,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         raise ParameterError("run needs an instance: --in or --family")
-    _validate_algo_flags(args)
+    check_batch_parameters(
+        args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads
+    )
     ratio, target = _target(args)
     optimum = _optimum(inst, target)
     if target == _OPTIMUM_TARGET:
@@ -265,7 +253,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.s is None or args.eps is None:
         raise ParameterError("sweep needs --s and --eps for the gstar family")
     q, r = _parse_ratio(args.eps, "--eps")
-    _validate_algo_flags(args)
+    check_batch_parameters(
+        args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads
+    )
     ratio, target = _target(args)
     if target == _OPTIMUM_TARGET:
         # Ratio 1 pins each size's target to its own exact optimum.

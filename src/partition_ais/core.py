@@ -81,24 +81,12 @@ class Assignment:
         return max(self.load1, self.load2)
 
 
-@dataclass
-class EvaluationCounter:
-    """Central tally of fitness evaluations, shared by whoever instruments a run."""
-
-    count: int = 0
-
-    def add(self, k: int = 1) -> None:
-        self.count += k
-
-
-def makespan(inst: Instance, x: Assignment, counter: EvaluationCounter | None = None) -> int:
-    """Processing time of the later-finishing machine; one evaluation if counted."""
+def makespan(inst: Instance, x: Assignment) -> int:
+    """Processing time of the later-finishing machine."""
     if len(x.bits) != inst.n:
         raise ContractViolationError(
             f"assignment length {len(x.bits)} does not match n={inst.n}"
         )
-    if counter is not None:
-        counter.add()
     return max(x.load1, x.load2)
 
 

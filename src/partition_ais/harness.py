@@ -175,11 +175,36 @@ def _trial_seeds(master_seed: int, start: int, stop: int) -> Iterator[_TrialSeed
         start = end
 
 
+def check_batch_parameters(
+    algorithm: str, mu: int, tau: int | None, restart_length: int | None, trials: int, workers: int
+) -> None:
+    """The rules for a batch's algorithm, its parameters, trials and workers;
+    each message names the ExperimentConfig field and the CLI flag."""
+    if algorithm not in ALGORITHMS:
+        raise ContractViolationError(f"unknown algorithm {algorithm!r}")
+    if (algorithm == "ageing") != (tau is not None):
+        raise ContractViolationError("ageing needs tau (--tau), and only ageing takes it")
+    if mu != 1 and algorithm != "ageing":
+        raise ContractViolationError("mu (--mu) other than 1 only applies to ageing")
+    if algorithm.endswith("-restart") != (restart_length is not None):
+        raise ContractViolationError(
+            "restart algorithms need restart_length (--restart-len), and only they take it"
+        )
+    for name, value, flag in (
+        ("mu", mu, "--mu"), ("tau", tau, "--tau"),
+        ("restart_length", restart_length, "--restart-len"),
+        ("trials", trials, "--trials"), ("workers", workers, "--threads"),
+    ):
+        if value is not None and value < 1:
+            raise ContractViolationError(f"{name} must be at least 1 ({flag})")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One batch: an instance, an algorithm with parameters, and a stop rule."""
+    """One batch: an instance, an algorithm with parameters, and a stop rule.
+    Building one that breaks a rule of the batch fails."""
 
-    instance: Instance | None
+    instance: Instance
     algorithm: str
     trials: int
     master_seed: int
@@ -190,6 +215,20 @@ class ExperimentConfig:
     optimum_source: str = "none"
     optimum: int | None = None
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.instance is None:
+            raise ContractViolationError("experiment needs an instance")
+        if self.master_seed < 0:
+            raise ContractViolationError("seeds and indices must be non-negative")
+        check_batch_parameters(
+            self.algorithm, self.mu, self.tau, self.restart_length,
+            self.trials, self.workers,
+        )
+        if self.optimum_source not in ("dp", "provided", "none"):
+            raise ContractViolationError(f"unknown optimum source {self.optimum_source!r}")
+        if self.optimum_source == "provided" and self.optimum is None:
+            raise ContractViolationError("optimum_source 'provided' needs an optimum value")
 
 
 @dataclass(frozen=True)
@@ -202,32 +241,9 @@ class AggregateReport:
     summary: dict[str, float | int | None]
 
 
-def _validate(config: ExperimentConfig) -> None:
-    if config.instance is None:
-        raise ContractViolationError("experiment needs an instance")
-    if config.trials < 1:
-        raise ContractViolationError("trials must be at least 1")
-    if config.master_seed < 0:
-        raise ContractViolationError("seeds and indices must be non-negative")
-    if config.algorithm not in ALGORITHMS:
-        raise ContractViolationError(f"unknown algorithm {config.algorithm!r}")
-    if config.algorithm == "ageing" and config.tau is None:
-        raise ContractViolationError("ageing needs tau")
-    if config.algorithm.endswith("-restart") and config.restart_length is None:
-        raise ContractViolationError("restart algorithms need restart_length")
-    if config.optimum_source not in ("dp", "provided", "none"):
-        raise ContractViolationError(f"unknown optimum source {config.optimum_source!r}")
-    if config.optimum_source == "provided" and config.optimum is None:
-        raise ContractViolationError("optimum_source 'provided' needs an optimum value")
-    if config.workers < 1:
-        raise ContractViolationError("workers must be at least 1")
-
-
 def _resolve_optimum(config: ExperimentConfig) -> int | None:
-    inst = config.instance
-    assert inst is not None
     if config.optimum_source == "dp":
-        return dp_optimal_makespan(inst)
+        return dp_optimal_makespan(config.instance)
     if config.optimum_source == "provided":
         return config.optimum
     return None
@@ -235,7 +251,6 @@ def _resolve_optimum(config: ExperimentConfig) -> int | None:
 
 def _execute_trial(config: ExperimentConfig, optimum: int | None, seed: int) -> TrialResult:
     inst = config.instance
-    assert inst is not None
     stop = config.stop
     algo = config.algorithm
     # Built per call from the module's globals: perfbench traces the runners
@@ -244,9 +259,7 @@ def _execute_trial(config: ExperimentConfig, optimum: int | None, seed: int) -> 
     if algo in plain:
         return plain[algo](inst, stop, seed, optimum=optimum)
     if algo == "ageing":
-        assert config.tau is not None
         return run_mu_ea_ageing(inst, config.mu, config.tau, stop, seed, optimum=optimum)
-    assert config.restart_length is not None
     base = algo.split("-", 1)[0]
     return run_with_restarts(
         base, inst, config.restart_length, stop, seed, optimum=optimum
@@ -271,7 +284,6 @@ def _summarize(
     results: Sequence[TrialResult],
 ) -> dict[str, float | int | None]:
     inst = config.instance
-    assert inst is not None
     evals = [r.evaluations_used for r in results]
     k = len(results)
     summary: dict[str, float | int | None] = {
@@ -322,7 +334,7 @@ def _summarize(
 
 def pool_size(workers: int, trials: int) -> int:
     """Worker processes for a batch: the request, capped by the trial and the CPU count."""
-    return max(1, min(workers, trials, os.cpu_count() or 1))
+    return min(workers, trials, os.cpu_count() or 1)
 
 
 def _execute_range(
@@ -341,7 +353,6 @@ _CHUNKS_PER_WORKER = 4
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute all trials; the optimum is resolved once, before any trial runs."""
-    _validate(config)
     optimum = _resolve_optimum(config)
     workers = pool_size(config.workers, config.trials)
     if workers > 1:
@@ -369,7 +380,6 @@ def report_rows(report: AggregateReport) -> list[dict[str, object]]:
     """Per-trial rows in export column order; None marks an empty cell."""
     config = report.config
     inst = config.instance
-    assert inst is not None
     ageing = config.algorithm == "ageing"
     rows: list[dict[str, object]] = []
     for i, r in enumerate(report.results):

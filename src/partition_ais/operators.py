@@ -24,15 +24,15 @@ Rng = np.random.Generator
 
 @dataclass(frozen=True)
 class HypermutationTrace:
-    """One walk: planned flip order, fitness after each executed flip.
-
-    stopped_at is the number of executed flips; it equals n when the walk
-    ran to completion, and len(fitness_after) always.
-    """
+    """One walk: planned flip order, fitness after each executed flip."""
 
     flip_order: tuple[int, ...]
     fitness_after: tuple[int, ...]
-    stopped_at: int
+
+    @property
+    def stopped_at(self) -> int:
+        """The number of executed flips; n when the walk ran to completion."""
+        return len(self.fitness_after)
 
 
 def hypermutate_fcm(
@@ -61,12 +61,7 @@ def hypermutate_fcm(
         fitness_after.append(fy)
         if fy < fx:
             break
-    trace = HypermutationTrace(
-        flip_order=tuple(order),
-        fitness_after=tuple(fitness_after),
-        stopped_at=len(fitness_after),
-    )
-    return y, trace
+    return y, HypermutationTrace(tuple(order), tuple(fitness_after))
 
 
 def hypermutation_full_trajectory(

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import stats
 
 from partition_ais import (
-    EvaluationCounter,
     ExperimentConfig,
     GStarParams,
     StopCondition,
@@ -367,22 +366,21 @@ def test_criterion_9_determinism_and_accounting(tmp_path):
         target = dp_optimal_makespan(mini) if rng.random() < 0.3 else None
         stop = StopCondition(budget, target_makespan=target)
         seed = int(rng.integers(1 << 32))
-        counter = EvaluationCounter()
         kind = i % 5
         if kind == 0:
-            r = run_rls(mini, stop, seed, counter=counter)
+            r = run_rls(mini, stop, seed, record_trace=True)
         elif kind == 1:
-            r = run_one_one_ea(mini, stop, seed, counter=counter)
+            r = run_one_one_ea(mini, stop, seed, record_trace=True)
         elif kind == 2:
-            r = run_ia_hyp(mini, stop, seed, counter=counter)
+            r = run_ia_hyp(mini, stop, seed, record_trace=True)
         elif kind == 3:
             mu = int(rng.integers(1, 5))
             tau = int(rng.integers(2, 20))
-            r = run_mu_ea_ageing(mini, mu, tau, stop, seed, counter=counter)
+            r = run_mu_ea_ageing(mini, mu, tau, stop, seed, record_trace=True)
         else:
             length = int(rng.integers(3, 30))
-            r = run_with_restarts("rls", mini, length, stop, seed, counter=counter)
-        if counter.count != r.evaluations_used:
+            r = run_with_restarts("rls", mini, length, stop, seed, record_trace=True)
+        if len(r.fitness_trace) != r.evaluations_used:
             mismatches += 1
     ok = identical and mismatches == 0
     _line(9, ok, (

@@ -142,6 +142,33 @@ def test_run_rejects_a_negative_seed(monkeypatch, capsys, threads):
     assert "seeds and indices must be non-negative" in stderr
 
 
+@pytest.mark.parametrize("source", [
+    ["run", "--family", "gstar", "--n", "8"],
+    ["sweep", "--n-list", "8"],
+    ["sweep", "--n-list", ""],
+], ids=["run", "sweep", "sweep-empty"])
+@pytest.mark.parametrize("flags, rule", [
+    (["--algo", "ageing", "--tau", "5", "--mu", "0"], "mu must be at least 1"),
+    (["--algo", "ageing", "--tau", "0"], "tau must be at least 1"),
+    (["--algo", "rls-restart", "--restart-len", "0"], "restart_length must be at least 1"),
+    (["--algo", "iahyp", "--trials", "0"], "trials must be at least 1"),
+    (["--algo", "iahyp", "--threads", "0"], "workers must be at least 1"),
+    (["--algo", "iahyp", "--threads", "-3"], "workers must be at least 1"),
+], ids=["mu0", "tau0", "restart-len0", "trials0", "threads0", "threads-3"])
+def test_bad_batch_values_fail_before_any_output(monkeypatch, capsys, source, flags, rule):
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    code, stdout, stderr = _run(capsys, source + [
+        "--s", "2", "--eps", "1/4", "--budget", "100", "--trials", "4", "--threads", "2",
+    ] + flags)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and rule in stderr
+
+
 def test_run_is_deterministic_and_writes_csv(tmp_path, capsys):
     outputs = []
     for name in ("a.csv", "b.csv"):

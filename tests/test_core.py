@@ -8,7 +8,6 @@ import pytest
 from partition_ais import (
     Assignment,
     ContractViolationError,
-    EvaluationCounter,
     Instance,
     InstanceMeta,
     flip_in_place,
@@ -75,15 +74,10 @@ def test_copy_is_independent():
     assert y.bits == [1, 1, 1]
 
 
-def test_makespan_counts_evaluations():
+def test_makespan_is_the_fuller_machines_load():
     inst = Instance(p=(5, 3, 2))
     x = Assignment.from_bits(inst, [0, 0, 1])
-    counter = EvaluationCounter()
-    assert makespan(inst, x, counter) == 8
-    assert makespan(inst, x, counter) == 8
-    assert counter.count == 2
     assert makespan(inst, x) == 8
-    assert counter.count == 2
 
 
 def test_makespan_rejects_length_mismatch():

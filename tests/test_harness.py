@@ -310,6 +310,8 @@ def test_config_validation():
         run_experiment(_config(optimum_source="brute"))
     with pytest.raises(ContractViolationError):
         run_experiment(_config(instance=None))
+    with pytest.raises(ContractViolationError, match="tau must be at least 1"):
+        _config(algorithm="ageing", tau=0)
     with pytest.raises(ContractViolationError):
         export_report(run_experiment(_config(trials=1)), "xml", "/tmp/x")
 
