@@ -219,15 +219,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         raise ParameterError("run needs an instance: --in or --family")
     check_batch_parameters(
-        args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads
+        args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads, args.seed
     )
     ratio, target = _target(args)
+    stop = StopCondition(args.budget, target_ratio=ratio)
     optimum = _optimum(inst, target)
     if target == _OPTIMUM_TARGET:
         stop = StopCondition(args.budget, target_makespan=optimum)
         target = f"makespan<={optimum}"
-    else:
-        stop = StopCondition(args.budget, target_ratio=ratio)
     workers = pool_size(args.threads, args.trials)
     config = _experiment(args, inst, stop, optimum, args.seed, workers)
     print(_config_line("run", source_pairs + _batch_pairs(args, target, workers)))
@@ -254,7 +253,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError("sweep needs --s and --eps for the gstar family")
     q, r = _parse_ratio(args.eps, "--eps")
     check_batch_parameters(
-        args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads
+        args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads, args.seed
     )
     ratio, target = _target(args)
     if target == _OPTIMUM_TARGET:

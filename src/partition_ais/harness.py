@@ -176,10 +176,11 @@ def _trial_seeds(master_seed: int, start: int, stop: int) -> Iterator[_TrialSeed
 
 
 def check_batch_parameters(
-    algorithm: str, mu: int, tau: int | None, restart_length: int | None, trials: int, workers: int
+    algorithm: str, mu: int, tau: int | None, restart_length: int | None, trials: int,
+    workers: int, master_seed: int,
 ) -> None:
-    """The rules for a batch's algorithm, its parameters, trials and workers;
-    each message names the ExperimentConfig field and the CLI flag."""
+    """The rules for a batch's algorithm, its parameters, trials, workers and
+    seed; each message names the ExperimentConfig field and the CLI flag."""
     if algorithm not in ALGORITHMS:
         raise ContractViolationError(f"unknown algorithm {algorithm!r}")
     if (algorithm == "ageing") != (tau is not None):
@@ -197,6 +198,10 @@ def check_batch_parameters(
     ):
         if value is not None and value < 1:
             raise ContractViolationError(f"{name} must be at least 1 ({flag})")
+    if master_seed < 0:
+        raise ContractViolationError(
+            "seeds and indices must be non-negative (master_seed, --seed)"
+        )
 
 
 @dataclass(frozen=True)
@@ -219,11 +224,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.instance is None:
             raise ContractViolationError("experiment needs an instance")
-        if self.master_seed < 0:
-            raise ContractViolationError("seeds and indices must be non-negative")
         check_batch_parameters(
             self.algorithm, self.mu, self.tau, self.restart_length,
-            self.trials, self.workers,
+            self.trials, self.workers, self.master_seed,
         )
         if self.optimum_source not in ("dp", "provided", "none"):
             raise ContractViolationError(f"unknown optimum source {self.optimum_source!r}")

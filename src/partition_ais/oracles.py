@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .core import Assignment, ContractViolationError, Instance
 _DP_CELL_LIMIT = 1_000_000_000
 _ENUM_N_LIMIT = 24
 _INT64_LIMIT = 1 << 62
-_LOW_JOBS = 16
 
 
 class CapacityError(RuntimeError):
@@ -126,42 +125,53 @@ def _table(jobs: Sequence[int], first1: int, big: int) -> tuple[np.ndarray, ...]
     return twice, min1, np.repeat(np.array([big, *jobs], dtype=np.int64), sizes)
 
 
-def _chunks(inst: Instance) -> Iterator[tuple[int, np.ndarray, object, object]]:
+def _halves(inst: Instance, split: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The 2^(n-1) assignments with job 0 on machine 1 (bit j of an index is
-    job j+1), in index order: (first index, load2 - load1, smallest job on
-    machine 1, on machine 2). The first _LOW_JOBS jobs of p[1:] index one
-    table and each placement of the rest is one scalar row; high jobs are the
-    smaller, so a machine's smallest job is the row's unless it has none (big).
-    """
-    W, big = inst.W, inst.W + 1
-    low = inst.p[1:1 + _LOW_JOBS]
-    diff, min1, min2 = _table(low, inst.p[0], big)
-    diff -= W
-    rows = zip(*(a.tolist() for a in _table(inst.p[1 + _LOW_JOBS:], big, big)))
-    for c, (high, high1, high2) in enumerate(rows):
-        yield (c << len(low), diff + high,
-               min1 if high1 == big else high1, min2 if high2 == big else high2)
+    job j+1) as index = row * entries + entry. Entries place the low half, the
+    first split jobs of p[1:]: load2 - load1 with no high job on machine 2,
+    and each machine's smallest low job. Rows place the rest of p, the high
+    half: twice machine 2's load and each machine's smallest high job. A
+    machine with no job of a half gets big = W + 1 as its smallest.
 
-
-def brute_force_optimum(inst: Instance) -> tuple[int, Assignment]:
-    """Exhaustive scan, bit 0 fixed by machine symmetry; the witness is the first minimum.
-
-    The scan stops after the first chunk whose smallest |load2 - load1| is
-    W mod 2, the least any split can reach; the witness is still the first
-    minimum in index order. With no perfect split every chunk is scanned.
+    The callers keep split >= (n-1)/2, so there are no more rows than entries.
+    Twice a load is at most 2W, and every load2 - load1 or window bound a scan
+    forms lies within +-2W, which int64 holds under the W < 2^62 guard.
     """
     if inst.n > _ENUM_N_LIMIT:
         raise CapacityError(f"exhaustive scan is limited to n <= {_ENUM_N_LIMIT}")
     if inst.W >= _INT64_LIMIT:
         raise CapacityError("exhaustive scan needs W below 2^62")
-    best, k = inst.W + 1, 0
-    for start, diff, _, _ in _chunks(inst):
-        disc = np.abs(diff)
-        i = int(np.argmin(disc))
-        if disc[i] < best:
-            best, k = int(disc[i]), start + i
-            if best == inst.W % 2:
-                break
+    W, big = inst.W, inst.W + 1
+    low = inst.p[1:1 + split]
+    diff, min1, min2 = _table(low, inst.p[0], big)
+    diff -= W
+    return (diff, min1, min2), _table(inst.p[1 + split:], big, big)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending, by a sort: on many distinct int64
+    values this is far faster than numpy 2's hash-table np.unique."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def brute_force_optimum(inst: Instance) -> tuple[int, Assignment]:
+    """Exhaustive meet in the middle, bit 0 fixed by machine symmetry; the
+    witness is the first minimum in index order.
+
+    The low half's values of load2 - load1, sorted once with the first entry
+    that gives each, are searched for -high of every row at once; the nearer
+    of the two neighbours of -high is the row's best, and a tie goes to the
+    lower entry. The first row with the least |load2 - load1| gives the witness.
+    """
+    (diff, _, _), (high, _, _) = _halves(inst, inst.n // 2)
+    values, first = np.unique(diff, return_index=True)
+    pos = np.searchsorted(values, -high)
+    near = np.stack([np.maximum(pos - 1, 0), np.minimum(pos, len(values) - 1)])
+    disc = np.abs(values[near] + high)
+    row = int(np.argmin(disc.min(axis=0)))
+    best = int(disc[:, row].min())
+    k = row * len(diff) + int(first[near[:, row]][disc[:, row] == best].min())
     bits = [0] + [(k >> j) & 1 for j in range(inst.n - 1)]
     return (inst.W + best) // 2, Assignment.from_bits(inst, bits)
 
@@ -186,16 +196,23 @@ def enumerate_local_optima(inst: Instance) -> LocalOptimaSummary:
     A solution is locally optimal iff the fuller machine's smallest job is at
     least the discrepancy. With d = load2 - load1 that is min2 >= d and
     min1 >= -d: jobs are positive, so the emptier machine always passes.
+
+    Rows 0 and -1 leave a machine without high jobs and are tested entry by
+    entry. Every other row puts a high job, the smallest kind, on each
+    machine, so its local optima are the entries whose low-half load2 - load1
+    lies in [-high1 - high, high2 - high]: two searches of the sorted values.
     """
-    if inst.n > _ENUM_N_LIMIT:
-        raise CapacityError(f"enumeration is limited to n <= {_ENUM_N_LIMIT}")
-    if inst.W >= _INT64_LIMIT:
-        raise CapacityError("enumeration needs W below 2^62")
-    found: set[int] = set()
-    for _, diff, min1, min2 in _chunks(inst):
-        local = (min2 >= diff) & (min1 >= -diff)
-        found.update(np.unique(np.abs(diff[local])).tolist())
-    return LocalOptimaSummary(tuple(sorted((inst.W + d) // 2 for d in found)))
+    (diff, min1, min2), (high, high1, high2) = _halves(inst, (inst.n + 4) // 2)
+    found = []
+    for r in {0, len(high) - 1}:
+        d = diff + high[r]
+        found.append(d[(np.minimum(min2, high2[r]) >= d) & (np.minimum(min1, high1[r]) >= -d)])
+    values, mid = _distinct(diff), high[1:-1]
+    lo = np.searchsorted(values, -high1[1:-1] - mid).tolist()
+    hi = np.searchsorted(values, high2[1:-1] - mid, side="right").tolist()
+    found += [values[a:b] + h for a, b, h in zip(lo, hi, mid.tolist())]
+    levels = _distinct(np.abs(np.concatenate(found))).tolist()
+    return LocalOptimaSummary(tuple((inst.W + d) // 2 for d in levels))
 
 
 def g_star_local_optima(inst: Instance) -> tuple[int, ...]:

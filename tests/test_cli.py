@@ -154,7 +154,8 @@ def test_run_rejects_a_negative_seed(monkeypatch, capsys, threads):
     (["--algo", "iahyp", "--trials", "0"], "trials must be at least 1"),
     (["--algo", "iahyp", "--threads", "0"], "workers must be at least 1"),
     (["--algo", "iahyp", "--threads", "-3"], "workers must be at least 1"),
-], ids=["mu0", "tau0", "restart-len0", "trials0", "threads0", "threads-3"])
+    (["--algo", "iahyp", "--seed", "-1"], "seeds and indices must be non-negative"),
+], ids=["mu0", "tau0", "restart-len0", "trials0", "threads0", "threads-3", "seed-1"])
 def test_bad_batch_values_fail_before_any_output(monkeypatch, capsys, source, flags, rule):
     def no_pool(max_workers):
         raise AssertionError("a pool was started")
@@ -356,6 +357,21 @@ def test_budget_only_batch_on_a_dp_infeasible_size(tmp_path, capsys, command):
         "error: --target-ratio needs the exact optimum and the dp solver "
         "cannot handle this instance\n"
     )
+
+
+def test_run_rejects_a_zero_budget_before_the_dp_optimum(monkeypatch, capsys):
+    # the dp solver cannot handle this instance; a zero budget fails on its
+    # own rule rather than suggesting --no-target, which would fail on it too
+    def no_dp(inst):
+        raise AssertionError("the dp solver ran")
+
+    monkeypatch.setattr(cli, "dp_optimal_makespan", no_dp)
+    code, stdout, stderr = _run(capsys, [
+        "run", "--family", "uniform", "--n", "1000", "--max-p", "1000000",
+        "--algo", "rls", "--budget", "0",
+    ])
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: max_evaluations must be at least 1\n"
 
 
 _GSTAR8 = {

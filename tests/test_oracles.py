@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 import numpy as np
@@ -25,7 +26,6 @@ from partition_ais import (
     gen_uniform,
     is_local_optimum,
     lpt,
-    oracles,
     run_ia_hyp,
     StopCondition,
 )
@@ -63,7 +63,7 @@ def test_dp_assignment_witness_is_optimal():
 # perfect after the first job at even and odd W, perfect only after the last
 # job (odd W only: at even W the complement of a perfect half has the same
 # load and leaves the last job out), no perfect split at all, and first
-# perfect splits in a later chunk of a 4-entry low-jobs table.
+# perfect splits late in the symmetry-reduced index order.
 _STOP_CASES = [(9, 8, 1), (9, 9, 1), (6, 3, 2, 1), (9, 7, 1), (5, 3, 1),
                (7, 7, 7), (8, 8, 8, 1), (5, 4, 3, 3, 3), (9, 8, 7, 6, 5, 4, 3)]
 
@@ -226,15 +226,17 @@ def _naive_scan(inst):
     return tuple(sorted(levels)), best, first
 
 
-@pytest.mark.parametrize("split", [2, 3])
-def test_scans_match_naive_scan_across_many_chunks(monkeypatch, split):
-    # a low-jobs table of 2^split entries makes every n > split + 1 span
-    # several chunks, so the combination of table and high rows is exercised
-    monkeypatch.setattr(oracles, "_LOW_JOBS", split)
-    rng = np.random.default_rng(40 + split)
-    insts = [Instance(p=(4,)), Instance(p=(3, 2)), Instance(p=(1,) * 11), Instance(p=(7,) * 8)]
+def test_scans_match_naive_scan_on_every_row_kind():
+    # n = 1..13 gives a single row (all jobs in the low half), rows 0 and -1
+    # alone, and middle rows between them, for both scans' splits
+    rng = np.random.default_rng(41)
+    insts = [Instance(p=(4,)), Instance(p=(1,) * 11), Instance(p=(7,) * 8)]
     insts += [Instance(p=p) for p in _STOP_CASES]
-    for n in (split + 1, split + 2, 7, 9, 11):
+    # a level whose only local optima lie on a middle row's window bound:
+    # load2 - load1 = -(machine 1's smallest job), and = machine 2's
+    insts += [Instance(p=(32, 28, 28, 27, 26, 17, 9, 7, 5)),
+              Instance(p=(13, 12, 12, 12, 7, 7, 7, 7, 5, 4, 2, 1, 1))]
+    for n in range(2, 14):
         for max_p in (1, 2, 3, 10, 1000):
             insts.append(gen_uniform(n, max_p, int(rng.integers(0, 1 << 32))))
     for inst in insts:
@@ -245,26 +247,52 @@ def test_scans_match_naive_scan_across_many_chunks(monkeypatch, split):
         assert witness.bits == [0] + [(first >> j) & 1 for j in range(inst.n - 1)]
 
 
-def test_brute_force_consumes_no_chunk_after_the_first_perfect_one(monkeypatch):
-    monkeypatch.setattr(oracles, "_LOW_JOBS", 2)
-    chunks, consumed = oracles._chunks, []
+def _reference_scan(inst):
+    """What _naive_scan returns, from a bit matrix of all 2^(n-1)
+    assignments: every load2 - load1 and each machine's smallest job."""
+    big = inst.W + 1
+    k = np.arange(1 << (inst.n - 1), dtype="<u4")
+    on2 = np.zeros((k.size, inst.n), dtype=bool)
+    bits = np.unpackbits(k.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
+    on2[:, 1:] = bits[:, :inst.n - 1]
+    cols = list(zip(on2.T, inst.p))
+    d = 2 * sum(np.where(c, t, 0) for c, t in cols) - inst.W
+    min1 = reduce(np.minimum, (np.where(c, big, t) for c, t in cols))
+    min2 = reduce(np.minimum, (np.where(c, t, big) for c, t in cols))
+    local = np.abs(d[(min2 >= d) & (min1 >= -d)])
+    first = int(np.argmin(np.abs(d)))
+    levels = tuple(sorted({(inst.W + x) // 2 for x in local.tolist()}))
+    return levels, (inst.W + abs(int(d[first]))) // 2, first
 
-    def counted(inst):
-        consumed.append(0)
-        for chunk in chunks(inst):
-            consumed[-1] += 1
-            yield chunk
 
-    monkeypatch.setattr(oracles, "_chunks", counted)
-    rng = np.random.default_rng(12)
-    insts = [Instance(p=p) for p in _STOP_CASES]
-    insts += [gen_uniform(n, 10, int(rng.integers(0, 1 << 32))) for n in (7, 9, 11)]
-    for inst in insts:
-        _, best, first = _naive_scan(inst)
+@pytest.mark.parametrize("family", ["p_max=1", "p_max=10^6", "gstar"])
+def test_scans_match_a_bit_matrix_reference_up_to_n20(family):
+    # p_max = 1 ties every split with many others, so the witness must be
+    # the first minimum in index order
+    for n in range(14, 21, 2 if family == "gstar" else 1):
+        if family == "gstar":
+            inst = gen_g_star(GStarParams(n, 2, (1, 4)))
+        else:
+            inst = gen_uniform(n, 1 if family == "p_max=1" else 10**6, n)
+        levels, best, first = _reference_scan(inst)
+        assert enumerate_local_optima(inst).distinct_makespans == levels
         value, witness = brute_force_optimum(inst)
         assert value == best
-        perfect = 2 * best - inst.W == inst.W % 2
-        assert consumed[-1] == ((first >> 2) + 1 if perfect else max(1, 1 << (inst.n - 3)))
+        assert witness.bits == [0] + [(first >> j) & 1 for j in range(inst.n - 1)]
+
+
+def test_scans_keep_int64_headroom_near_the_w_guard():
+    # W > 2^63 / 3: a sum of three loads would wrap int64, so every value the
+    # scans form must stay within +-2W
+    rng = np.random.default_rng(58)
+    times = [(1 << 58) + int(t) for t in rng.integers(0, 1 << 40, size=12)]
+    inst = Instance(p=tuple(sorted(times, reverse=True)))
+    assert 3 * inst.W > 1 << 63 and inst.W < 1 << 62
+    levels, best, first = _naive_scan(inst)
+    assert enumerate_local_optima(inst).distinct_makespans == levels
+    value, witness = brute_force_optimum(inst)
+    assert value == best
+    assert witness.bits == [0] + [(first >> j) & 1 for j in range(inst.n - 1)]
 
 
 def test_minimum_local_level_is_the_optimum():
