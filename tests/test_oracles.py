@@ -26,6 +26,7 @@ from partition_ais import (
     gen_uniform,
     is_local_optimum,
     lpt,
+    oracles,
     run_ia_hyp,
     StopCondition,
 )
@@ -224,6 +225,28 @@ def _naive_scan(inst):
         if best is None or x.makespan < best:
             best, first = x.makespan, k
     return tuple(sorted(levels)), best, first
+
+
+@pytest.mark.parametrize("split", [2, 3])
+def test_scans_match_naive_scan_across_many_chunks(split):
+    # a low half of split jobs makes every n > split + 1 span many rows, each
+    # a chunk of 2^split entries; row * entries + entry must give every
+    # assignment's load2 - load1 and each machine's smallest job in index order
+    rng = np.random.default_rng(40 + split)
+    insts = [Instance(p=(4,)), Instance(p=(3, 2)), Instance(p=(1,) * 11), Instance(p=(7,) * 8)]
+    insts += [Instance(p=p) for p in _STOP_CASES]
+    for n in (split + 1, split + 2, 7, 9, 11):
+        for max_p in (1, 2, 3, 10, 1000):
+            insts.append(gen_uniform(n, max_p, int(rng.integers(0, 1 << 32))))
+    for inst in insts:
+        (diff, min1, min2), (high, high1, high2) = oracles._halves(inst, split)
+        d = (high[:, None] + diff).ravel()
+        m1 = np.minimum(high1[:, None], min1).ravel()
+        m2 = np.minimum(high2[:, None], min2).ravel()
+        local = np.abs(d[(m2 >= d) & (m1 >= -d)])
+        first = int(np.argmin(np.abs(d)))
+        levels = tuple(sorted({(inst.W + x) // 2 for x in local.tolist()}))
+        assert (levels, (inst.W + abs(int(d[first]))) // 2, first) == _naive_scan(inst)
 
 
 def test_scans_match_naive_scan_on_every_row_kind():
