@@ -352,8 +352,16 @@ def run_with_restarts(
 
 
 def restart_length_for_ratio(n: int, eps: Fraction | tuple[int, int]) -> int:
-    """Restart schedule ceil(e * n * ln(4/eps)) for approximation-target runs."""
+    """Restart schedule ceil(e * n * ln(4/eps)) for approximation-target runs;
+    it is at least 1 evaluation, which needs n >= 1 and eps < 4."""
+    if isinstance(eps, tuple) and eps[1] == 0:
+        raise ContractViolationError("eps must be a rational q/r with r != 0")
     f = Fraction(*eps) if isinstance(eps, tuple) else Fraction(eps)
     if f <= 0:
         raise ContractViolationError("eps must be positive")
-    return math.ceil(math.e * n * math.log(4 / float(f)))
+    length = math.ceil(math.e * n * math.log(4 / float(f)))
+    if length < 1:
+        raise ContractViolationError(
+            f"restart schedule of {length} evaluations; it needs n >= 1 and eps < 4"
+        )
+    return length

@@ -16,8 +16,8 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterator, Sequence
+from itertools import chain, cycle, islice, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -57,40 +57,28 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4)
-# on uint32 arrays with one column per trial. Only array arithmetic is used:
-# it wraps silently, where numpy scalar arithmetic warns.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), translated loop for
+# loop onto uint32 arrays that hold one entry per trial, or one for all. Only
+# array arithmetic is used: it wraps silently, where scalar arithmetic warns.
 _MASK32 = 0xFFFFFFFF
-_POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init times mult**j mod 2**32 for j = 0..count, as a uint32 column."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+def _hashmix(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's hashmix with its own hash constant, which each call advances."""
+    hash_const = init
 
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        value ^= value >> 16
+        return value
 
-_A = _hash_consts(_INIT_A, _MULT_A, 4 * _POOL)
-_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-_CYCLE = np.arange(2 * _POOL) % _POOL  # the pool word behind each output word
-# Pool mixing, source s into every other word d: the (rows, old, new
-# multiplier) of each source's three hash calls, numbered 4 + 3s + rank(d).
-_MIX_STEPS = tuple(
-    (np.array([d for d in range(_POOL) if d != s]),
-     _A[4 + 3 * s:7 + 3 * s], _A[5 + 3 * s:8 + 3 * s])
-    for s in range(_POOL)
-)
-
-
-def _hashmix(v: np.ndarray, old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    v = (v ^ old) * new
-    v ^= v >> 16
-    return v
+    return hashmix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -99,30 +87,24 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def _pool(entropy: list[np.ndarray], k: int) -> np.ndarray:
-    """SeedSequence(entropy).pool for k trials; each entropy row has k or 1 entries."""
-    pool = np.zeros((_POOL, k), dtype=np.uint32)
-    for row, words in zip(pool, entropy):
-        row[:] = words
-    pool = _hashmix(pool, _A[:_POOL], _A[1:_POOL + 1])
-    for s, (rows, old, new) in enumerate(_MIX_STEPS):
-        pool[rows] = _mix(pool[rows], _hashmix(pool[s], old, new))
-    if len(entropy) > _POOL:
-        # a long master seed: each extra word is mixed into all four
-        a = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
-        for j, words in enumerate(entropy[_POOL:], start=_POOL):
-            pool = _mix(pool, _hashmix(words, a[4 * j:4 * j + 4], a[4 * j + 1:4 * j + 5]))
-    return pool
-
-
-def _state_words(pool: np.ndarray, count: int) -> np.ndarray:
-    """SeedSequence.generate_state(count, uint32), one column per trial."""
-    return _hashmix(pool[_CYCLE[:count]], _B[:count], _B[1:count + 1])
+def _state_words(entropy: list[np.ndarray], count: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(count, uint32), one column per trial."""
+    # mix_entropy, into a pool of numpy's default size 4
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    mixer = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32)) for i in range(4)]
+    for i_src in range(len(mixer)):
+        for i_dst in range(len(mixer)):
+            if i_src != i_dst:
+                mixer[i_dst] = _mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for i_src in range(len(mixer), len(entropy)):
+        for i_dst in range(len(mixer)):
+            mixer[i_dst] = _mix(mixer[i_dst], hashmix(entropy[i_src]))
+    hashmix = _hashmix(_INIT_B, _MULT_B)  # generate_state
+    return np.array([hashmix(word) for word in islice(cycle(mixer), count)])
 
 
 def _as_uint64(words: np.ndarray) -> np.ndarray:
-    """Little-endian pairs of uint32 rows as uint64 rows, as generate_state
-    returns them for dtype uint64."""
+    """uint32 rows, little-endian in pairs, as generate_state's uint64 rows."""
     words = words.astype(np.uint64)
     return words[0::2] | words[1::2] << np.uint64(32)
 
@@ -155,19 +137,17 @@ def _trial_seeds(master_seed: int, start: int, stop: int) -> Iterator[_TrialSeed
         for b in range(0, master_seed.bit_length() or 1, 32)
     ]
     while start < stop:
-        end = min(stop, start + _SEED_BLOCK)
-        if start < 1 << 32 < end:
-            end = 1 << 32  # indices from 2**32 on are two entropy words
+        # blocks end at multiples of 4096: none crosses 2**32 (two-word indices)
+        end = min(stop, (start // _SEED_BLOCK + 1) * _SEED_BLOCK)
         index = np.arange(start, end, dtype=np.uint64)
         entropy = master + [(index & np.uint64(_MASK32)).astype(np.uint32)]
         if start >> 32:
             entropy.append((index >> np.uint64(32)).astype(np.uint32))
-        k = end - start
-        seed_words = _state_words(_pool(entropy, k), 2)
+        seed_words = _state_words(entropy, 2)
         # SeedSequence(seed) reads the seed's words (lo, hi); a zero hi word
         # hashes as the zero padding of a one-word seed does
         # one contiguous row per trial: PCG64 reads the row's memory
-        words = _as_uint64(_state_words(_pool(list(seed_words), k), 8)).T.copy()
+        words = _as_uint64(_state_words(list(seed_words), 8)).T.copy()
         for value, w in zip(_as_uint64(seed_words)[0].tolist(), words):
             seed = _TrialSeed(value)
             seed.words = w

@@ -102,6 +102,8 @@ def gen_uniform(n: int, max_p: int, seed: int) -> Instance:
         raise ParameterError("uniform instances need n >= 2")
     if max_p < 1:
         raise ParameterError("max_p must be at least 1")
+    if seed < 0:
+        raise ParameterError("the uniform instance seed must be non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     times = sorted(rng.integers(1, max_p + 1, size=n).tolist(), reverse=True)
     return Instance(p=tuple(times), meta=InstanceMeta(family="uniform"))
@@ -151,10 +153,20 @@ def _parse_meta(text: str, lineno: int) -> InstanceMeta:
     return InstanceMeta(family=family, s=s, eps=eps, scale=scale)
 
 
+def _text_lines(data: bytes) -> list[str]:
+    """UTF-8 text split at LF, CRLF or CR, as reading in text mode splits it."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_instance(path: str) -> Instance:
     """Parse an instance file; unsorted times are accepted, sorted, and flagged."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = _text_lines(data)
+    except UnicodeDecodeError as exc:
+        lineno = len(_text_lines(data[:exc.start]))
+        raise InstanceFormatError(f"line {lineno}: not UTF-8 text") from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != "partition v1":

@@ -156,8 +156,16 @@ def test_restart_length_for_ratio_values():
     assert restart_length_for_ratio(50, Fraction(1, 2)) == 283
     assert restart_length_for_ratio(50, (1, 2)) == 283
     assert restart_length_for_ratio(100, (1, 2)) == 566
+    assert restart_length_for_ratio(1, Fraction(399, 100)) == 1
     with pytest.raises(ContractViolationError):
         restart_length_for_ratio(50, Fraction(0, 1))
+    # the schedule would be 0 at eps = 4, negative above it, 0 at n = 0
+    for n, eps in ((50, (4, 1)), (50, Fraction(5)), (0, (1, 2))):
+        with pytest.raises(ContractViolationError, match="needs n >= 1 and eps < 4"):
+            restart_length_for_ratio(n, eps)
+    for eps in ((1, 0), (0, 0)):
+        with pytest.raises(ContractViolationError, match="r != 0"):
+            restart_length_for_ratio(50, eps)
 
 
 def test_runners_are_deterministic_in_the_seed():

@@ -100,6 +100,30 @@ def test_solve_missing_file(capsys):
     assert stderr
 
 
+def test_solve_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"partition v1\nn=2\n5\n\xff4\n")
+    code, stdout, stderr = _run(capsys, ["solve", "--in", str(path), "--method", "dp"])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: line 4: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "-1"],
+    ["run", "--instance-seed", "-1", "--algo", "rls", "--budget", "100"],
+], ids=["generate", "run"])
+def test_a_negative_uniform_seed_fails_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    code, stdout, stderr = _run(capsys, argv + [
+        "--family", "uniform", "--n", "8", "--max-p", "10", "--out", str(out),
+    ])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: the uniform instance seed must be non-negative\n"
+    assert not out.exists()
+
+
 def test_run_requires_an_instance(capsys):
     code, _, stderr = _run(capsys, ["run", "--algo", "rls", "--budget", "100"])
     assert code == 2

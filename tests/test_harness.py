@@ -56,12 +56,25 @@ def test_derive_seed_is_deterministic_and_spread():
     0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96 + 7, 10**30,
 ])
 def test_batched_seeds_and_generator_states_are_exact(master):
-    # the last range crosses 2**32, where an index becomes two entropy words
-    for start, stop in ((0, 1), (0, 37), (1000, 1257), (2**32 - 3, 2**32 + 3)):
+    # (4000, 8300) spans three seed blocks; the last range crosses 2**32,
+    # where an index becomes two entropy words
+    for start, stop in ((0, 1), (0, 37), (1000, 1257), (4000, 8300), (2**32 - 3, 2**32 + 3)):
         seeds = list(harness._trial_seeds(master, start, stop))
         assert seeds == [derive_seed(master, i) for i in range(start, stop)]
         for seed in seeds:
             assert np.random.PCG64(seed).state == np.random.PCG64(int(seed)).state
+
+
+@pytest.mark.parametrize("n_words, dtype", [
+    (4, np.uint64), (1, np.uint64), (2, np.uint64), (5, np.uint64),
+    (1, np.uint32), (4, np.uint32), (8, np.uint32), (4, np.dtype(np.uint64)),
+])
+def test_trial_seed_generates_the_state_of_its_seed_sequence(n_words, dtype):
+    for seed in harness._trial_seeds(2**64 + 5, 0, 9):
+        expected = np.random.SeedSequence(int(seed)).generate_state(n_words, dtype)
+        state = seed.generate_state(n_words, dtype)
+        assert state.dtype == expected.dtype
+        assert state.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("algorithm, extra", [

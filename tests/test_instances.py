@@ -87,6 +87,8 @@ def test_uniform_generator_validation():
         gen_uniform(1, 100, seed=0)
     with pytest.raises(ParameterError):
         gen_uniform(5, 0, seed=0)
+    with pytest.raises(ParameterError, match="seed must be non-negative"):
+        gen_uniform(5, 100, seed=-1)
 
 
 def test_write_then_read_round_trip_gstar(tmp_path):
@@ -144,6 +146,29 @@ def test_read_errors_carry_line_numbers(tmp_path):
         path.write_text(content, encoding="utf-8")
         with pytest.raises(InstanceFormatError, match=fragment):
             read_instance(str(path))
+
+
+@pytest.mark.parametrize("data, fragment", [
+    (b"\xffpartition v1\nn=1\n5\n", "line 1"),
+    (b"partition v1\nn=2\n5\n4\xff\n", "line 4"),
+    (b"partition v1\r\nn=2\r\n5\r\n\xfe4\r\n", "line 4"),
+    (b"partition v1\rn=2\r5\r4\r\xff", "line 5"),
+], ids=["lf-line1", "lf-line4", "crlf", "cr"])
+def test_read_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, fragment):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(InstanceFormatError, match=f"^{fragment}: not UTF-8 text$"):
+        read_instance(str(path))
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_read_accepts_crlf_and_cr_line_ends(tmp_path, newline):
+    lines = [b"partition v1", b"n=2", b"meta=uniform", b"4", b"5", b""]
+    (tmp_path / "lf.txt").write_bytes(b"\n".join(lines))
+    (tmp_path / "other.txt").write_bytes(newline.join(lines))
+    inst = read_instance(str(tmp_path / "other.txt"))
+    assert inst == read_instance(str(tmp_path / "lf.txt"))
+    assert inst.p == (5, 4) and inst.meta.family == "uniform" and inst.meta.resorted
 
 
 def test_read_rejects_extra_values(tmp_path):
