@@ -212,6 +212,8 @@ class ExperimentConfig:
             raise ContractViolationError(f"unknown optimum source {self.optimum_source!r}")
         if self.optimum_source == "provided" and self.optimum is None:
             raise ContractViolationError("optimum_source 'provided' needs an optimum value")
+        if self.stop.target_ratio is not None and self.optimum_source == "none":
+            raise ContractViolationError("target_ratio requires a known optimum")
 
 
 @dataclass(frozen=True)

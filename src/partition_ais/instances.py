@@ -102,6 +102,8 @@ def gen_uniform(n: int, max_p: int, seed: int) -> Instance:
         raise ParameterError("uniform instances need n >= 2")
     if max_p < 1:
         raise ParameterError("max_p must be at least 1")
+    if max_p >= 1 << 63:
+        raise ParameterError("max_p must be below 2^63")
     if seed < 0:
         raise ParameterError("the uniform instance seed must be non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -122,6 +124,14 @@ def write_instance(inst: Instance, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _digits(text: str) -> int:
+    """A decimal integer of ASCII digits only; int() alone would also take
+    signs, underscores, spaces and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError
+    return int(text)
+
+
 def _parse_meta(text: str, lineno: int) -> InstanceMeta:
     parts = text.split(";")
     family = parts[0]
@@ -136,14 +146,14 @@ def _parse_meta(text: str, lineno: int) -> InstanceMeta:
             raise InstanceFormatError(f"line {lineno}: malformed meta segment {part!r}")
         try:
             if key == "s":
-                s = int(value)
+                s = _digits(value)
             elif key == "eps":
                 q_text, sep2, r_text = value.partition("/")
                 if not sep2:
                     raise ValueError
-                eps = (int(q_text), int(r_text))
+                eps = (_digits(q_text), _digits(r_text))
             elif key == "scale":
-                scale = int(value)
+                scale = _digits(value)
             else:
                 raise InstanceFormatError(f"line {lineno}: unknown meta key {key!r}")
         except ValueError:
@@ -174,7 +184,7 @@ def read_instance(path: str) -> Instance:
     if len(lines) < 2 or not lines[1].startswith("n="):
         raise InstanceFormatError("line 2: expected 'n=<count>'")
     try:
-        n = int(lines[1][2:])
+        n = _digits(lines[1][2:])
     except ValueError:
         raise InstanceFormatError(f"line 2: malformed job count {lines[1][2:]!r}") from None
     if n < 1:
@@ -194,7 +204,7 @@ def read_instance(path: str) -> Instance:
     for offset, text in enumerate(lines[body:]):
         lineno = body + offset + 1
         try:
-            t = int(text)
+            t = _digits(text)
         except ValueError:
             raise InstanceFormatError(
                 f"line {lineno}: malformed processing time {text!r}"

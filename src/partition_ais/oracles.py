@@ -35,30 +35,34 @@ class LocalOptimaSummary:
         return sum(1 for v in self.distinct_makespans if v > threshold)
 
 
-def _dp_guard(inst: Instance) -> None:
+def _forward(inst: Instance, k: int) -> tuple[int, int, list[int]]:
+    """Subset-sum reachability over loads 0..W/2: the last bitset row (bit j
+    says some subset reaches load j), the number of jobs read, and the row
+    before every k-th job. The pass stops at the first job after which bit
+    W/2 is set: that split is perfect and no later job can improve it, so
+    random instances with n well above log2(p_max) read only a prefix of p.
+    """
     cells = inst.n * inst.W
     if cells > _DP_CELL_LIMIT:
         raise CapacityError(
             f"dp table would need {cells} cells; the limit is {_DP_CELL_LIMIT}"
         )
+    half = inst.W // 2
+    mask = (1 << (half + 1)) - 1
+    reach, checkpoints = 1, []
+    for i, t in enumerate(inst.p):
+        if i % k == 0:
+            checkpoints.append(reach)
+        reach = (reach | (reach << t)) & mask
+        if reach.bit_length() > half:
+            return reach, i + 1, checkpoints
+    return reach, inst.n, checkpoints
 
 
 def dp_optimal_makespan(inst: Instance) -> int:
-    """Exact optimum by subset-sum reachability over loads 0..W/2.
-
-    One bitset row; bit j says some subset reaches load j. The best half-load
-    is the highest reachable bit. The pass stops at the first job after which
-    bit W/2 is set: that split is perfect and no later job can improve it, so
-    random instances with n well above log2(p_max) read only a prefix of p.
-    """
-    _dp_guard(inst)
-    half = inst.W // 2
-    mask = (1 << (half + 1)) - 1
-    reach = 1
-    for t in inst.p:
-        reach = (reach | (reach << t)) & mask
-        if reach.bit_length() > half:
-            break
+    """Exact optimum by subset-sum reachability: the best half-load is the
+    highest reachable bit of the forward pass's last row."""
+    reach, _, _ = _forward(inst, inst.n)
     return inst.W - (reach.bit_length() - 1)
 
 
@@ -75,24 +79,13 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
     and those bits lie in the window. The walk tests the same bits as one over
     all n+1 rows, and finds the same witness.
 
-    The forward pass stops, as dp_optimal_makespan's does, at the first job
-    after which bit W/2 is set; the walk then starts at that job. Every later
-    row holds bit W/2 as well, so the walk over all rows leaves every later
-    job on machine 1, and so does this one.
+    The forward pass stops at the first job after which bit W/2 is set, and
+    the walk starts there: every later row holds bit W/2 as well, so the walk
+    over all rows leaves every later job on machine 1, as this one does.
     """
-    _dp_guard(inst)
     p, n = inst.p, inst.n
     k = isqrt(n)
-    half = inst.W // 2
-    mask = (1 << (half + 1)) - 1
-    reach, checkpoints, used = 1, [], n
-    for i, t in enumerate(p):
-        if i % k == 0:
-            checkpoints.append(reach)
-        reach = (reach | (reach << t)) & mask
-        if reach.bit_length() > half:
-            used = i + 1
-            break
+    reach, used, checkpoints = _forward(inst, k)
     load = reach.bit_length() - 1
     best = inst.W - load
     bits = [0] * n
@@ -112,26 +105,30 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
     return best, Assignment(bits=bits, load1=best, load2=inst.W - best)
 
 
-def _table(jobs: Sequence[int], first1: int, big: int) -> tuple[np.ndarray, ...]:
-    """Twice machine 2's load and each machine's smallest job (big if none)
-    for every placement of jobs, bit j being jobs[j]; machine 1 starts with
-    first1. Jobs are non-increasing, so machine 2's smallest is the job of the
-    highest set bit, machine 1's that of the highest clear bit (index reversed)."""
+def _twice_loads(jobs: Sequence[int]) -> np.ndarray:
+    """Twice machine 2's load for every placement of jobs, bit j being jobs[j]."""
     twice = np.zeros(1 << len(jobs), dtype=np.int64)
     for j, t in enumerate(jobs):
         np.add(twice[:1 << j], 2 * t, out=twice[1 << j:2 << j])
+    return twice
+
+
+def _smallest(jobs: Sequence[int], first1: int, big: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each machine's smallest job (big if none) for every placement of jobs,
+    bit j being jobs[j]; machine 1 starts with first1. Jobs are
+    non-increasing, so machine 2's smallest is the job of the highest set bit,
+    machine 1's that of the highest clear bit (index reversed)."""
     sizes = [1] + [1 << j for j in range(len(jobs))]
     min1 = np.repeat(np.array([first1, *jobs], dtype=np.int64), sizes)[::-1]
-    return twice, min1, np.repeat(np.array([big, *jobs], dtype=np.int64), sizes)
+    return min1, np.repeat(np.array([big, *jobs], dtype=np.int64), sizes)
 
 
-def _halves(inst: Instance, split: int) -> tuple[tuple[np.ndarray, ...], ...]:
+def _halves(inst: Instance, split: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^(n-1) assignments with job 0 on machine 1 (bit j of an index is
     job j+1) as index = row * entries + entry. Entries place the low half, the
-    first split jobs of p[1:]: load2 - load1 with no high job on machine 2,
-    and each machine's smallest low job. Rows place the rest of p, the high
-    half: twice machine 2's load and each machine's smallest high job. A
-    machine with no job of a half gets big = W + 1 as its smallest.
+    first split jobs of p[1:], and hold load2 - load1 with no high job on
+    machine 2. Rows place the rest of p, the high half, and hold twice
+    machine 2's load.
 
     The callers keep split >= (n-1)/2, so there are no more rows than entries.
     Twice a load is at most 2W, and every load2 - load1 or window bound a scan
@@ -141,16 +138,12 @@ def _halves(inst: Instance, split: int) -> tuple[tuple[np.ndarray, ...], ...]:
         raise CapacityError(f"exhaustive scan is limited to n <= {_ENUM_N_LIMIT}")
     if inst.W >= _INT64_LIMIT:
         raise CapacityError("exhaustive scan needs W below 2^62")
-    W, big = inst.W, inst.W + 1
-    low = inst.p[1:1 + split]
-    diff, min1, min2 = _table(low, inst.p[0], big)
-    diff -= W
-    return (diff, min1, min2), _table(inst.p[1 + split:], big, big)
+    return _twice_loads(inst.p[1:1 + split]) - inst.W, _twice_loads(inst.p[1 + split:])
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending, by a sort: on many distinct int64
-    values this is far faster than numpy 2's hash-table np.unique."""
+    values this is far faster than numpy 2's hash-table unique."""
     values = np.sort(values)
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
@@ -159,21 +152,21 @@ def brute_force_optimum(inst: Instance) -> tuple[int, Assignment]:
     """Exhaustive meet in the middle, bit 0 fixed by machine symmetry; the
     witness is the first minimum in index order.
 
-    The low half's values of load2 - load1, sorted once with the first entry
-    that gives each, are searched for -high of every row at once; the nearer
-    of the two neighbours of -high is the row's best, and a tie goes to the
-    lower entry. The first row with the least |load2 - load1| gives the witness.
+    The distinct low-half values of load2 - load1 are searched for -high of
+    every row at once; the nearer of the two neighbours of -high is the row's
+    least |load2 - load1|. The first row with the least of these is scanned
+    again for its first entry with that discrepancy.
     """
-    (diff, _, _), (high, _, _) = _halves(inst, inst.n // 2)
-    values, first = np.unique(diff, return_index=True)
+    diff, high = _halves(inst, inst.n // 2)
+    values = _distinct(diff)
     pos = np.searchsorted(values, -high)
-    near = np.stack([np.maximum(pos - 1, 0), np.minimum(pos, len(values) - 1)])
-    disc = np.abs(values[near] + high)
-    row = int(np.argmin(disc.min(axis=0)))
-    best = int(disc[:, row].min())
-    k = row * len(diff) + int(first[near[:, row]][disc[:, row] == best].min())
+    near = values[np.stack([np.maximum(pos - 1, 0), np.minimum(pos, len(values) - 1)])]
+    row = int(np.argmin(np.abs(near + high).min(axis=0)))
+    disc = np.abs(diff + high[row])
+    entry = int(np.argmin(disc))
+    k = row * len(diff) + entry
     bits = [0] + [(k >> j) & 1 for j in range(inst.n - 1)]
-    return (inst.W + best) // 2, Assignment.from_bits(inst, bits)
+    return (inst.W + int(disc[entry])) // 2, Assignment.from_bits(inst, bits)
 
 
 def lpt(inst: Instance) -> Assignment:
@@ -201,8 +194,12 @@ def enumerate_local_optima(inst: Instance) -> LocalOptimaSummary:
     entry. Every other row puts a high job, the smallest kind, on each
     machine, so its local optima are the entries whose low-half load2 - load1
     lies in [-high1 - high, high2 - high]: two searches of the sorted values.
+    A machine with no job of a half gets big = W + 1 as its smallest.
     """
-    (diff, min1, min2), (high, high1, high2) = _halves(inst, (inst.n + 4) // 2)
+    split, big = (inst.n + 4) // 2, inst.W + 1
+    diff, high = _halves(inst, split)
+    min1, min2 = _smallest(inst.p[1:1 + split], inst.p[0], big)
+    high1, high2 = _smallest(inst.p[1 + split:], big, big)
     found = []
     for r in {0, len(high) - 1}:
         d = diff + high[r]
@@ -232,26 +229,15 @@ def g_star_local_optima(inst: Instance) -> tuple[int, ...]:
         raise ContractViolationError("instance is not two-valued as its tag claims")
     found: set[int] = set()
     for h in range(s + 1):
-        balance_num = (s - 2 * h) * heavy + m * light
-        a0 = balance_num // (2 * light)
+        a0 = ((s - 2 * h) * heavy + m * light) // (2 * light)
         for a in {0, m, a0, a0 + 1}:
             if a < 0 or a > m:
                 continue
             load1 = h * heavy + a * light
-            load2 = W - load1
-            disc = abs(load1 - load2)
-            if disc == 0:
-                found.add(load1)
-                continue
-            fuller_heavy = h if load1 > load2 else s - h
-            fuller_light = a if load1 > load2 else m - a
-            if fuller_light > 0:
-                min_p = light
-            elif fuller_heavy > 0:
-                min_p = heavy
-            else:
-                continue
-            if min_p >= disc:
-                found.add(max(load1, load2))
+            # a machine above W/2 holds a job; one at W/2 passes either test
+            fuller_light = a if 2 * load1 > W else m - a
+            min_p = light if fuller_light > 0 else heavy
+            if min_p >= abs(W - 2 * load1):
+                found.add(max(load1, W - load1))
     return tuple(sorted(found))
 

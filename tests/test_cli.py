@@ -124,6 +124,21 @@ def test_a_negative_uniform_seed_fails_before_any_output(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate"],
+    ["run", "--algo", "rls", "--budget", "100"],
+], ids=["generate", "run"])
+def test_a_uniform_max_p_beyond_int64_fails_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    code, stdout, stderr = _run(capsys, argv + [
+        "--family", "uniform", "--n", "4", "--max-p", str(1 << 63), "--out", str(out),
+    ])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: max_p must be below 2^63\n"
+    assert not out.exists()
+
+
 def test_run_requires_an_instance(capsys):
     code, _, stderr = _run(capsys, ["run", "--algo", "rls", "--budget", "100"])
     assert code == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,6 +324,9 @@ def test_config_validation():
         run_experiment(_config(optimum_source="brute"))
     with pytest.raises(ContractViolationError):
         run_experiment(_config(instance=None))
+    # a ratio target with no optimum fails here, not in the first trial
+    with pytest.raises(ContractViolationError, match="target_ratio requires a known optimum"):
+        _config(stop=StopCondition(100, target_ratio=Fraction(5, 4)), optimum_source="none")
     with pytest.raises(ContractViolationError, match="tau must be at least 1"):
         _config(algorithm="ageing", tau=0)
     with pytest.raises(ContractViolationError):

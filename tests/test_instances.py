@@ -89,6 +89,9 @@ def test_uniform_generator_validation():
         gen_uniform(5, 0, seed=0)
     with pytest.raises(ParameterError, match="seed must be non-negative"):
         gen_uniform(5, 100, seed=-1)
+    with pytest.raises(ParameterError, match="max_p must be below 2\\^63"):
+        gen_uniform(4, 1 << 63, seed=0)
+    assert max(gen_uniform(4, (1 << 63) - 1, seed=0).p) < 1 << 63
 
 
 def test_write_then_read_round_trip_gstar(tmp_path):
@@ -140,6 +143,17 @@ def test_read_errors_carry_line_numbers(tmp_path):
         ("partition v1\nn=2\n5\n", "line 4"),
         ("partition v1\nn=2\n5\n0\n", "line 4"),
         ("partition v1\nn=2\nmeta=gstar;s=x\n5\n4\n", "line 3"),
+        # only ASCII decimal digits: no underscores, signs, spaces or other
+        # scripts' digits, all of which int() takes
+        ("partition v1\nn=2\n1_000\n5\n", "line 3: malformed processing time"),
+        ("partition v1\nn=2\n6\n 5 \n", "line 4: malformed processing time"),
+        ("partition v1\nn=2\n+6\n5\n", "line 3: malformed processing time"),
+        ("partition v1\nn=2\n6\n\u0665\n", "line 4: malformed processing time"),
+        ("partition v1\nn= 2\n5\n4\n", "line 2: malformed job count"),
+        ("partition v1\nn=2\nmeta=gstar;s=+2\n5\n4\n", "line 3: malformed meta value"),
+        ("partition v1\nn=2\nmeta=gstar;scale=1_0\n5\n4\n", "line 3: malformed meta value"),
+        ("partition v1\nn=2\nmeta=gstar;eps=1/-4\n5\n4\n", "line 3: malformed meta value"),
+        ("partition v1\nn=2\nmeta=gstar;eps= 1/4\n5\n4\n", "line 3: malformed meta value"),
     ]
     for i, (content, fragment) in enumerate(cases):
         path = tmp_path / f"bad{i}.txt"

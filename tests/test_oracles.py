@@ -239,7 +239,10 @@ def test_scans_match_naive_scan_across_many_chunks(split):
         for max_p in (1, 2, 3, 10, 1000):
             insts.append(gen_uniform(n, max_p, int(rng.integers(0, 1 << 32))))
     for inst in insts:
-        (diff, min1, min2), (high, high1, high2) = oracles._halves(inst, split)
+        diff, high = oracles._halves(inst, split)
+        big = inst.W + 1
+        min1, min2 = oracles._smallest(inst.p[1:1 + split], inst.p[0], big)
+        high1, high2 = oracles._smallest(inst.p[1 + split:], big, big)
         d = (high[:, None] + diff).ravel()
         m1 = np.minimum(high1[:, None], min1).ravel()
         m2 = np.minimum(high2[:, None], min2).ravel()
