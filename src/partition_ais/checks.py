@@ -44,6 +44,12 @@ class CheckResult:
     bound: str
 
 
+def _verdict(name: str, failures: list[str], clean: str, label: str, bound: str) -> CheckResult:
+    """Passes iff nothing failed; measured is `clean`, or `label: ` and the failures."""
+    measured = f"{label}: {', '.join(failures)}" if failures else clean
+    return CheckResult(name, not failures, measured, bound)
+
+
 # Twenty generator settings spanning s in {2,4,6,8}, several eps and scales.
 IDENTITY_SETTINGS = (
     (8, 2, (1, 4), 1), (8, 2, (1, 8), 1), (12, 2, (1, 4), 1), (16, 2, (1, 4), 1),
@@ -97,11 +103,7 @@ def check_oracles(seed: int = ORACLE_SEED) -> list[CheckResult]:
             "lpt_never_below_optimum", lpt_violations == 0,
             f"violations={lpt_violations}", "0",
         ),
-        CheckResult(
-            "fixed_examples", not wrong,
-            "all as expected" if not wrong else "wrong: " + ", ".join(wrong),
-            "exact",
-        ),
+        _verdict("fixed_examples", wrong, "all as expected", "wrong", "exact"),
     ]
 
 
@@ -131,11 +133,9 @@ def check_properties() -> list[CheckResult]:
         )
         if not ok:
             identity_failures.append(f"n={n},s={s}")
-    results.append(CheckResult(
-        "gstar_identities_20", not identity_failures,
-        "all 20 exact" if not identity_failures else "failed: " + ", ".join(identity_failures),
-        "exact",
-    ))
+    results.append(
+        _verdict("gstar_identities_20", identity_failures, "all 20 exact", "failed", "exact")
+    )
 
     got = enumerate_local_optima(gen_g_star(GStarParams(12, 2, (1, 4)))).distinct_makespans
     results.append(CheckResult(
@@ -158,22 +158,13 @@ def check_properties() -> list[CheckResult]:
             analytic_failures.append(f"n={n},s={s}")
         if len(summary.distinct_makespans) > s + 1:
             count_failures.append(f"n={n},s={s}")
-    results.append(CheckResult(
-        "count_above_bound", not bound_failures,
-        "all below 2^(2/eps)" if not bound_failures else "exceeded: " + ", ".join(bound_failures),
-        "2^(2/eps)",
-    ))
-    results.append(CheckResult(
-        "analytic_matches_enumeration", not analytic_failures,
-        "all equal" if not analytic_failures else "differ: " + ", ".join(analytic_failures),
-        "exact",
-    ))
-    results.append(CheckResult(
-        "distinct_count_small", not count_failures,
-        "all within s+1" if not count_failures else "too many: " + ", ".join(count_failures),
-        "s+1",
-    ))
-    return results
+    return results + [
+        _verdict("count_above_bound", bound_failures, "all below 2^(2/eps)", "exceeded",
+                 "2^(2/eps)"),
+        _verdict("analytic_matches_enumeration", analytic_failures, "all equal", "differ",
+                 "exact"),
+        _verdict("distinct_count_small", count_failures, "all within s+1", "too many", "s+1"),
+    ]
 
 
 # Flip-order entries per chunk: holds the suite's memory to a few MB.

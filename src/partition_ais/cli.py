@@ -29,6 +29,7 @@ from .instances import (
     GStarParams,
     InstanceFormatError,
     ParameterError,
+    _digits,
     gen_g_star,
     gen_uniform,
     read_instance,
@@ -43,10 +44,19 @@ from .oracles import (
 )
 
 
+def _integer(text: str) -> int:
+    """ASCII digits with at most one leading minus: the instance files' rule
+    for integers, plus a sign."""
+    return -_digits(text[1:]) if text.startswith("-") else _digits(text)
+
+
+_integer.__name__ = "int"  # argparse's message stays "invalid int value: ..."
+
+
 def _parse_ratio(text: str, flag: str) -> tuple[int, int]:
     try:
-        q, r = (int(part) for part in text.split("/"))
-    except ValueError:  # not two parts, or a part is not an integer
+        q, r = (_digits(part) for part in text.split("/"))
+    except ValueError:  # not two parts, or a part is not ASCII digits
         pass
     else:
         if r != 0:
@@ -242,7 +252,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _parse_n_list(text: str) -> list[int]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        return [int(tok) for tok in tokens]
+        return [_digits(tok) for tok in tokens]
     except ValueError:
         raise ParameterError(f"--n-list must be comma-separated integers, got {text!r}") from None
 
@@ -310,15 +320,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_run_like_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--restart-len", type=int, dest="restart_len")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--mu", type=_integer, default=1)
+    p.add_argument("--tau", type=_integer)
+    p.add_argument("--restart-len", type=_integer, dest="restart_len")
+    p.add_argument("--trials", type=_integer, default=1)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--budget", type=_integer, required=True)
     p.add_argument("--target-ratio", dest="target_ratio")
     p.add_argument("--no-target", action="store_true", dest="no_target")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_integer, default=os.cpu_count() or 1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -333,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write an instance file")
     g.add_argument("--family", required=True, choices=("gstar", "uniform"))
-    g.add_argument("--n", required=True, type=int)
-    g.add_argument("--s", type=int)
+    g.add_argument("--n", required=True, type=_integer)
+    g.add_argument("--s", type=_integer)
     g.add_argument("--eps")
-    g.add_argument("--scale", type=int, default=1)
-    g.add_argument("--max-p", type=int, dest="max_p")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--scale", type=_integer, default=1)
+    g.add_argument("--max-p", type=_integer, dest="max_p")
+    g.add_argument("--seed", type=_integer, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
@@ -351,26 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run one experiment batch")
     r.add_argument("--in", dest="infile")
     r.add_argument("--family", choices=("gstar", "uniform"))
-    r.add_argument("--n", type=int)
-    r.add_argument("--s", type=int)
+    r.add_argument("--n", type=_integer)
+    r.add_argument("--s", type=_integer)
     r.add_argument("--eps")
-    r.add_argument("--scale", type=int, default=1)
-    r.add_argument("--max-p", type=int, dest="max_p")
-    r.add_argument("--instance-seed", type=int, default=0, dest="instance_seed")
+    r.add_argument("--scale", type=_integer, default=1)
+    r.add_argument("--max-p", type=_integer, dest="max_p")
+    r.add_argument("--instance-seed", type=_integer, default=0, dest="instance_seed")
     _add_run_like_flags(r)
     r.set_defaults(func=_cmd_run)
 
     w = sub.add_parser("sweep", help="run one experiment per size on the gstar family")
     w.add_argument("--n-list", required=True, dest="n_list")
-    w.add_argument("--s", type=int)
+    w.add_argument("--s", type=_integer)
     w.add_argument("--eps")
-    w.add_argument("--scale", type=int, default=1)
+    w.add_argument("--scale", type=_integer, default=1)
     _add_run_like_flags(w)
     w.set_defaults(func=_cmd_sweep)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True)
-    v.add_argument("--seed", type=int)
+    v.add_argument("--seed", type=_integer)
     v.set_defaults(func=_cmd_verify)
     return parser
 
@@ -380,15 +390,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, InstanceFormatError, ContractViolationError) as exc:
+    except (ParameterError, InstanceFormatError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

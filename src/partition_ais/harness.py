@@ -15,7 +15,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterator, Sequence
 
@@ -226,18 +226,8 @@ class AggregateReport:
     summary: dict[str, float | int | None]
 
 
-def _resolve_optimum(config: ExperimentConfig) -> int | None:
-    if config.optimum_source == "dp":
-        return dp_optimal_makespan(config.instance)
-    if config.optimum_source == "provided":
-        return config.optimum
-    return None
-
-
-def _execute_trial(config: ExperimentConfig, optimum: int | None, seed: int) -> TrialResult:
-    inst = config.instance
-    stop = config.stop
-    algo = config.algorithm
+def _execute_trial(config: ExperimentConfig, seed: int) -> TrialResult:
+    inst, stop, algo, optimum = config.instance, config.stop, config.algorithm, config.optimum
     # Built per call from the module's globals: perfbench traces the runners
     # by wrapping them in this namespace.
     plain = {"iahyp": run_ia_hyp, "ea": run_one_one_ea, "rls": run_rls}
@@ -246,9 +236,7 @@ def _execute_trial(config: ExperimentConfig, optimum: int | None, seed: int) -> 
     if algo == "ageing":
         return run_mu_ea_ageing(inst, config.mu, config.tau, stop, seed, optimum=optimum)
     base = algo.split("-", 1)[0]
-    return run_with_restarts(
-        base, inst, config.restart_length, stop, seed, optimum=optimum
-    )
+    return run_with_restarts(base, inst, config.restart_length, stop, seed, optimum=optimum)
 
 
 def _known_local_optima(inst: Instance) -> tuple[int, ...] | None:
@@ -264,46 +252,33 @@ def _known_local_optima(inst: Instance) -> tuple[int, ...] | None:
 
 
 def _summarize(
-    config: ExperimentConfig,
-    optimum: int | None,
-    results: Sequence[TrialResult],
+    config: ExperimentConfig, results: Sequence[TrialResult]
 ) -> dict[str, float | int | None]:
-    inst = config.instance
+    optimum = config.optimum
     evals = [r.evaluations_used for r in results]
     k = len(results)
+    # every decile of a single trial is its own count
+    qs = statistics.quantiles(evals, n=10, method="inclusive") if k >= 2 else evals * 9
     summary: dict[str, float | int | None] = {
         "trials": k,
         "evaluations_mean": statistics.fmean(evals),
         "evaluations_median": statistics.median(evals),
         "evaluations_min": min(evals),
         "evaluations_max": max(evals),
+        "evaluations_q10": qs[0],
+        "evaluations_q90": qs[8],
     }
-    if k >= 2:
-        qs = statistics.quantiles(evals, n=10, method="inclusive")
-        summary["evaluations_q10"] = qs[0]
-        summary["evaluations_q90"] = qs[8]
-    else:
-        summary["evaluations_q10"] = evals[0]
-        summary["evaluations_q90"] = evals[0]
     stop = config.stop
     if stop.target_makespan is not None or stop.target_ratio is not None:
-        summary["success_rate"] = (
-            sum(r.terminated_by != "budget" for r in results) / k
-        )
+        summary["success_rate"] = sum(r.terminated_by != "budget" for r in results) / k
     elif optimum is not None:
-        summary["success_rate"] = (
-            sum(r.best_makespan == optimum for r in results) / k
-        )
+        summary["success_rate"] = sum(r.best_makespan == optimum for r in results) / k
     else:
         summary["success_rate"] = None
-    if optimum:
-        ratios = [r.best_makespan / optimum for r in results]
-        summary["ratio_mean"] = statistics.fmean(ratios)
-        summary["ratio_median"] = statistics.median(ratios)
-    else:
-        summary["ratio_mean"] = None
-        summary["ratio_median"] = None
-    known = _known_local_optima(inst)
+    ratios = [r.best_makespan / optimum for r in results] if optimum else []
+    summary["ratio_mean"] = statistics.fmean(ratios) if ratios else None
+    summary["ratio_median"] = statistics.median(ratios) if ratios else None
+    known = _known_local_optima(config.instance)
     if known:
         reference = optimum if optimum is not None else known[0]
         levels = set(known)
@@ -322,14 +297,9 @@ def pool_size(workers: int, trials: int) -> int:
     return min(workers, trials, os.cpu_count() or 1)
 
 
-def _execute_range(
-    config: ExperimentConfig, optimum: int | None, start: int, stop: int
-) -> list[TrialResult]:
+def _execute_range(config: ExperimentConfig, start: int, stop: int) -> list[TrialResult]:
     """Trials start..stop-1, seeded in one pass."""
-    return [
-        _execute_trial(config, optimum, seed)
-        for seed in _trial_seeds(config.master_seed, start, stop)
-    ]
+    return [_execute_trial(config, seed) for seed in _trial_seeds(config.master_seed, start, stop)]
 
 
 # Contiguous trial ranges per worker; more than one evens out uneven trials.
@@ -337,8 +307,14 @@ _CHUNKS_PER_WORKER = 4
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
-    """Execute all trials; the optimum is resolved once, before any trial runs."""
-    optimum = _resolve_optimum(config)
+    """Execute all trials. A "dp" optimum is resolved once, before any trial, into
+    the copy of the config that the trials and the summary read."""
+    resolved = config
+    if config.optimum_source == "dp":
+        optimum = dp_optimal_makespan(config.instance)
+        resolved = replace(config, optimum_source="provided", optimum=optimum)
+    elif config.optimum_source == "none":  # an optimum given with "none" is not used
+        resolved = replace(config, optimum=None)
     workers = pool_size(config.workers, config.trials)
     if workers > 1:
         # One task per range of trials, not per trial: the config and the
@@ -349,15 +325,15 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         stops = [min(a + step, config.trials) for a in starts]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(chain.from_iterable(pool.map(
-                _execute_range, repeat(config), repeat(optimum), starts, stops,
+                _execute_range, repeat(resolved), starts, stops,
             )))
     else:
-        results = tuple(_execute_range(config, optimum, 0, config.trials))
+        results = tuple(_execute_range(resolved, 0, config.trials))
     return AggregateReport(
         config=config,
-        optimum=optimum,
+        optimum=resolved.optimum,
         results=results,
-        summary=_summarize(config, optimum, results),
+        summary=_summarize(resolved, results),
     )
 
 
@@ -365,7 +341,6 @@ def report_rows(report: AggregateReport) -> list[dict[str, object]]:
     """Per-trial rows in export column order; None marks an empty cell."""
     config = report.config
     inst = config.instance
-    ageing = config.algorithm == "ageing"
     rows: list[dict[str, object]] = []
     for i, r in enumerate(report.results):
         rows.append({
@@ -374,8 +349,8 @@ def report_rows(report: AggregateReport) -> list[dict[str, object]]:
             "n": inst.n,
             "family": inst.meta.family,
             "algorithm": config.algorithm,
-            "mu": config.mu if ageing else None,
-            "tau": config.tau if ageing else None,
+            "mu": config.mu if config.algorithm == "ageing" else None,
+            "tau": config.tau,
             "evaluations": r.evaluations_used,
             "best_makespan": r.best_makespan,
             "optimum": report.optimum,

@@ -194,6 +194,11 @@ def read_instance(path: str) -> Instance:
     if len(lines) > 2 and lines[2].startswith("meta="):
         meta = _parse_meta(lines[2][5:], lineno=3)
         body = 3
+        if meta.family == "gstar" and meta.s is not None and meta.eps is not None:
+            try:
+                GStarParams(n=n, s=meta.s, eps=meta.eps, scale=meta.scale)
+            except ParameterError as exc:
+                raise InstanceFormatError(f"line 3: {exc}") from None
     found = len(lines) - body
     if found != n:
         lineno = body + min(found, n) + 1

@@ -109,6 +109,56 @@ def test_solve_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     assert stderr == "error: line 4: not UTF-8 text\n"
 
 
+def test_solve_rejects_gstar_parameters_the_family_forbids(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("partition v1\nn=4\nmeta=gstar;s=0;eps=0/0;scale=0\n5\n5\n5\n5\n")
+    code, stdout, stderr = _run(capsys, ["solve", "--in", str(path), "--method", "dp"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: line 3: s must be an even number of heavy jobs, at least 2\n"
+
+
+_RLS_BATCH = ["--s", "2", "--eps", "1/4", "--algo", "rls", "--budget", "50", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--n-list", "1_0,+12"] + _RLS_BATCH,
+     "error: --n-list must be comma-separated integers, got '1_0,+12'\n"),
+    (["sweep", "--n-list", "8,\u0661\u0662"] + _RLS_BATCH,
+     "error: --n-list must be comma-separated integers, got '8,\u0661\u0662'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--eps", " 1/4"],
+     "error: --eps must be a rational q/r, got ' 1/4'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--eps", "+1/4"],
+     "error: --eps must be a rational q/r, got '+1/4'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--target-ratio", "3/2_0"],
+     "error: --target-ratio must be a rational q/r, got '3/2_0'\n"),
+    (["run", "--family", "gstar", "--n", "1_6"] + _RLS_BATCH,
+     "argument --n: invalid int value: '1_6'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--s", "+2"],
+     "argument --s: invalid int value: '+2'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--budget", "5_0"],
+     "argument --budget: invalid int value: '5_0'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--seed=-1_0"],
+     "argument --seed: invalid int value: '-1_0'\n"),
+    (["run", "--family", "gstar", "--n", "16"] + _RLS_BATCH + ["--threads", " 2"],
+     "argument --threads: invalid int value: ' 2'\n"),
+    (["verify", "--suite", "oracles", "--seed", "\u0667"],
+     "argument --seed: invalid int value: '\u0667'\n"),
+], ids=[
+    "n-list-underscore-plus", "n-list-arabic", "eps-space", "eps-plus",
+    "target-ratio-underscore", "n-underscore", "s-plus", "budget-underscore",
+    "seed-minus-underscore", "threads-space", "verify-seed-arabic",
+])
+def test_integers_on_the_command_line_are_ascii_digits(capsys, argv, message):
+    """The instance files' rule, plus one leading minus on integer flags."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's type errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--seed", "-1"],
     ["run", "--instance-seed", "-1", "--algo", "rls", "--budget", "100"],
@@ -595,14 +645,27 @@ def _one_order_per_chunk(n, rng, walks):
     return np.tile(rng.permutation(n), (walks, 1))
 
 
-@pytest.mark.parametrize("broken", [_with_replacement, _one_order_per_chunk])
-def test_verify_trajectories_fails_on_broken_flip_orders(monkeypatch, capsys, broken):
+def _blocks_kept_together(n, rng, walks):
+    """Blocks of 10 consecutive positions in random order, each block's
+    positions shuffled; at n=8 this is one block, a uniform permutation."""
+    ranks = rng.permuted(np.tile(np.arange(-(-n // 10)), (walks, 1)), axis=1)
+    return np.argsort(ranks[:, np.arange(n) // 10] + rng.random((walks, n)), axis=1)
+
+
+@pytest.mark.parametrize("broken, verdicts", [
+    (_with_replacement, ["FAIL uniformity_chi2"]),
+    (_one_order_per_chunk, ["FAIL uniformity_chi2"]),
+    # flips that stay near each other: only crossing_window sees them
+    (_blocks_kept_together, ["PASS uniformity_chi2", "FAIL crossing_window"]),
+], ids=["_with_replacement", "_one_order_per_chunk", "_blocks_kept_together"])
+def test_verify_trajectories_fails_on_broken_flip_orders(monkeypatch, capsys, broken, verdicts):
     from partition_ais import checks
 
     monkeypatch.setattr(checks, "flip_orders", broken)
     code, stdout, _ = _run(capsys, ["verify", "--suite", "trajectories"])
     assert code == 4
-    assert "FAIL uniformity_chi2" in stdout
+    for verdict in verdicts:
+        assert f"\n{verdict} measured[" in stdout
     assert stdout.splitlines()[-1].startswith("verify: FAILED")
 
 

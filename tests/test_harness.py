@@ -17,6 +17,7 @@ from partition_ais import (
     Instance,
     StopCondition,
     derive_seed,
+    dp_optimal_makespan,
     export_report,
     gen_g_star,
     gen_uniform,
@@ -186,8 +187,8 @@ class _RecordingPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
-        tasks = list(zip(*iterables))  # config, optimum, start, stop
-        self.calls.append((self.max_workers, chunksize, [t[2:] for t in tasks]))
+        tasks = list(zip(*iterables))  # config, start, stop
+        self.calls.append((self.max_workers, chunksize, [t[1:] for t in tasks]))
         return (fn(*t) for t in tasks)
 
 
@@ -298,7 +299,14 @@ def test_stuck_rate_from_the_closed_form_beyond_enumeration():
     assert report.summary["stuck_rate"] == stuck / 20
 
 
-def test_stuck_rate_unavailable_for_large_foreign_instances():
+def test_stuck_rate_unavailable_for_large_foreign_instances(monkeypatch):
+    dp_calls = []
+
+    def counted_dp(inst):
+        dp_calls.append(inst)
+        return dp_optimal_makespan(inst)
+
+    monkeypatch.setattr(harness, "dp_optimal_makespan", counted_dp)
     config = _config(
         instance=gen_uniform(30, 50, seed=9),
         trials=3,
@@ -307,6 +315,10 @@ def test_stuck_rate_unavailable_for_large_foreign_instances():
     )
     report = run_experiment(config)
     assert report.summary["stuck_rate"] is None
+    # the optimum is resolved once; the report keeps the caller's config
+    assert dp_calls == [config.instance]
+    assert report.config is config
+    assert report.optimum == dp_optimal_makespan(config.instance)
 
 
 def test_config_validation():

@@ -14,6 +14,7 @@ from partition_ais import (
     read_instance,
     write_instance,
 )
+from partition_ais.checks import IDENTITY_SETTINGS
 
 
 def test_gstar_n8_exact_values():
@@ -95,11 +96,18 @@ def test_uniform_generator_validation():
 
 
 def test_write_then_read_round_trip_gstar(tmp_path):
-    inst = gen_g_star(GStarParams(n=8, s=2, eps=(1, 4), scale=2))
-    path = tmp_path / "g.txt"
-    write_instance(inst, str(path))
-    back = read_instance(str(path))
-    assert back == inst
+    # the reader checks a gstar line's parameters: every written file passes
+    settings = [(8, 2, (1, 4), 2), (16, 2, (2, 8), 1)] + list(IDENTITY_SETTINGS)
+    for n, s, eps, scale in settings:
+        inst = gen_g_star(GStarParams(n=n, s=s, eps=eps, scale=scale))
+        path = tmp_path / f"g{n}_{s}.txt"
+        write_instance(inst, str(path))
+        back = read_instance(str(path))
+        assert back == inst
+    # the form write_instance gives a gstar tag without parameters
+    bare = tmp_path / "bare.txt"
+    bare.write_text("partition v1\nn=4\nmeta=gstar\n5\n5\n5\n5\n", encoding="utf-8")
+    assert read_instance(str(bare)).meta.family == "gstar"
 
 
 def test_written_gstar_file_bytes(tmp_path):
@@ -154,6 +162,19 @@ def test_read_errors_carry_line_numbers(tmp_path):
         ("partition v1\nn=2\nmeta=gstar;scale=1_0\n5\n4\n", "line 3: malformed meta value"),
         ("partition v1\nn=2\nmeta=gstar;eps=1/-4\n5\n4\n", "line 3: malformed meta value"),
         ("partition v1\nn=2\nmeta=gstar;eps= 1/4\n5\n4\n", "line 3: malformed meta value"),
+        # a gstar line's s and eps obey GStarParams' rules, with n and scale
+        ("partition v1\nn=4\nmeta=gstar;s=0;eps=0/0;scale=0\n5\n5\n5\n5\n",
+         "line 3: s must be an even number of heavy jobs, at least 2"),
+        ("partition v1\nn=4\nmeta=gstar;s=2;eps=0/0;scale=1\n5\n5\n5\n5\n",
+         "line 3: eps must be a positive rational q/r"),
+        ("partition v1\nn=4\nmeta=gstar;s=2;eps=1/3;scale=1\n5\n5\n5\n5\n",
+         "line 3: eps must lie strictly below 1/3"),
+        ("partition v1\nn=4\nmeta=gstar;s=2;eps=1/4;scale=0\n5\n5\n5\n5\n",
+         "line 3: scale must be a positive integer"),
+        ("partition v1\nn=3\nmeta=gstar;s=2;eps=1/4\n5\n5\n5\n",
+         "line 3: n must be an even number of jobs"),
+        ("partition v1\nn=4\nmeta=gstar;s=4;eps=1/8\n5\n5\n5\n5\n",
+         "line 3: s must be smaller than n"),
     ]
     for i, (content, fragment) in enumerate(cases):
         path = tmp_path / f"bad{i}.txt"
