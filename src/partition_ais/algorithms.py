@@ -128,7 +128,7 @@ class _Ledger:
             elif self.ratio_target is not None and f <= self.ratio_target:
                 self.reason = "ratio"
 
-    def result(self, seed: int, reinit_count: int | None = None) -> TrialResult:
+    def result(self, seed: int, ageing: bool = False) -> TrialResult:
         if self.best_x is None or self.best_f < (self.inst.W + 1) // 2:
             raise ContractViolationError("best makespan fell below W/2; accounting is broken")
         if self.evals > self.budget:
@@ -139,7 +139,7 @@ class _Ledger:
             best_makespan=self.best_f,
             best_assignment=self.best_x,
             terminated_by=self.reason or "budget",
-            reinit_count=reinit_count,
+            reinit_count=sum(e == "reinit" for _, e in self.log) if ageing else None,
             stagnation_log=tuple(self.log),
             fitness_trace=tuple(self.trace) if self.trace is not None else None,
         )
@@ -261,7 +261,6 @@ def run_mu_ea_ageing(
     # fitness so the worst are last; its age in generation g is g minus its
     # birth, so ages need no per-generation update
     population: list[tuple[int, int, Assignment]] = []
-    reinits = 0
     gen = 0
     first_birth = 0  # no individual was born before this
 
@@ -293,7 +292,6 @@ def run_mu_ea_ageing(
             population[:] = [ind for ind in population if gen - ind[1] < tau]
             first_birth = min([ind[1] for ind in population], default=gen)
             if not population and not lives:
-                reinits += 1
                 led.log.append((led.evals, "reinit"))
         if lives and len(population) == mu:
             # one of the mu + 1 goes: uniform among the worst, the child last
@@ -311,7 +309,7 @@ def run_mu_ea_ageing(
             insort(population, (fy, born, y), key=_fitness)
         if len(population) < mu:
             refill()
-    return led.result(seed, reinits)
+    return led.result(seed, ageing=True)
 
 
 def run_with_restarts(

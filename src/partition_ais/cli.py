@@ -77,33 +77,47 @@ def _config_line(command: str, pairs: list[tuple[str, object]]) -> str:
     return f"config: command={command} {body}"
 
 
-def _instance_from_family(
-    family: str,
-    n: int,
-    s: int | None,
-    eps: str | None,
-    scale: int,
-    max_p: int | None,
-    seed: int,
+# The instance flags each family takes, by dest; --in takes none of them.
+_TAKES = {"gstar": ("n", "s", "eps", "scale"), "uniform": ("n", "max_p", "instance_seed")}
+
+
+def _instance(
+    args: argparse.Namespace, seed_flag: str
 ) -> tuple[Instance, list[tuple[str, object]]]:
-    if family == "gstar":
-        if s is None or eps is None:
+    """The instance of --in, or of --family and its flags, with its config:
+    fields. seed_flag is the instance seed's flag as the command spells it."""
+    infile = getattr(args, "infile", None)  # generate has no --in
+    if infile is not None and args.family is not None:
+        raise ParameterError("give either --in or --family, not both")
+    if infile is None and args.family is None:
+        raise ParameterError("run needs an instance: --in or --family")
+    source = "--in" if infile is not None else f"--family {args.family}"
+    for dest, flag in (("n", "--n"), ("s", "--s"), ("eps", "--eps"), ("scale", "--scale"),
+                       ("max_p", "--max-p"), ("instance_seed", seed_flag)):
+        if getattr(args, dest) is not None and dest not in _TAKES.get(args.family, ()):
+            raise ParameterError(f"{source} takes no {flag}")
+    if infile is not None:
+        inst = read_instance(infile)
+        return inst, [("in", infile), ("n", inst.n), ("family", inst.meta.family)]
+    if args.n is None:
+        raise ParameterError("--family needs --n")
+    pairs: list[tuple[str, object]] = [("family", args.family), ("n", args.n)]
+    if args.family == "gstar":
+        if args.s is None or args.eps is None:
             raise ParameterError("family gstar needs --s and --eps")
-        q, r = _parse_ratio(eps, "--eps")
-        inst = gen_g_star(GStarParams(n=n, s=s, eps=(q, r), scale=scale))
-        pairs = [("family", family), ("n", n), ("s", s), ("eps", f"{q}/{r}"), ("scale", scale)]
-    else:
-        if max_p is None:
-            raise ParameterError("family uniform needs --max-p")
-        inst = gen_uniform(n, max_p, seed)
-        pairs = [("family", family), ("n", n), ("max_p", max_p), ("instance_seed", seed)]
-    return inst, pairs
+        q, r = _parse_ratio(args.eps, "--eps")
+        scale = 1 if args.scale is None else args.scale
+        inst = gen_g_star(GStarParams(n=args.n, s=args.s, eps=(q, r), scale=scale))
+        return inst, pairs + [("s", args.s), ("eps", f"{q}/{r}"), ("scale", scale)]
+    if args.max_p is None:
+        raise ParameterError("family uniform needs --max-p")
+    seed = 0 if args.instance_seed is None else args.instance_seed
+    inst = gen_uniform(args.n, args.max_p, seed)
+    return inst, pairs + [("max_p", args.max_p), ("instance_seed", seed)]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    inst, pairs = _instance_from_family(
-        args.family, args.n, args.s, args.eps, args.scale, args.max_p, args.seed
-    )
+    inst, pairs = _instance(args, "--seed")
     print(_config_line("generate", pairs + [("out", args.out)]))
     write_instance(inst, args.out)
     print(f"wrote {args.out}: n={inst.n} W={inst.W} p_max={inst.p[0]} p_min={inst.p[-1]}")
@@ -212,22 +226,7 @@ def _experiment(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.infile is not None and args.family is not None:
-        raise ParameterError("give either --in or --family, not both")
-    if args.infile is not None:
-        inst = read_instance(args.infile)
-        source_pairs: list[tuple[str, object]] = [
-            ("in", args.infile), ("n", inst.n), ("family", inst.meta.family),
-        ]
-    elif args.family is not None:
-        if args.n is None:
-            raise ParameterError("--family needs --n")
-        inst, source_pairs = _instance_from_family(
-            args.family, args.n, args.s, args.eps, args.scale, args.max_p,
-            args.instance_seed,
-        )
-    else:
-        raise ParameterError("run needs an instance: --in or --family")
+    inst, source_pairs = _instance(args, "--instance-seed")
     check_batch_parameters(
         args.algo, args.mu, args.tau, args.restart_len, args.trials, args.threads, args.seed
     )
@@ -279,8 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed = derive_seed(args.seed, n)
         configs.append(_experiment(args, inst, stop, optimum, seed, workers))
     print(_config_line("sweep", [
-        ("family", "gstar"),
-        ("n_list", ",".join(str(n) for n in n_list)),
+        ("family", "gstar"), ("n_list", ",".join(str(n) for n in n_list)),
         ("s", args.s), ("eps", f"{q}/{r}"), ("scale", args.scale),
     ] + _batch_pairs(args, target, workers)))
     if not n_list:
@@ -318,6 +316,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 4
 
 
+def _add_instance_flags(p: argparse.ArgumentParser, seed_flag: str, required: bool) -> None:
+    """The family flags of generate and run. They have no defaults, so that
+    _instance can tell a flag that was given from one left out."""
+    p.add_argument("--family", required=required, choices=("gstar", "uniform"))
+    p.add_argument("--n", required=required, type=_integer)
+    p.add_argument("--s", type=_integer)
+    p.add_argument("--eps")
+    p.add_argument("--scale", type=_integer)
+    p.add_argument("--max-p", type=_integer, dest="max_p")
+    p.add_argument(seed_flag, type=_integer, dest="instance_seed",
+                   metavar=seed_flag[2:].upper().replace("-", "_"))  # argparse's own
+
+
 def _add_run_like_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--mu", type=_integer, default=1)
@@ -342,13 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write an instance file")
-    g.add_argument("--family", required=True, choices=("gstar", "uniform"))
-    g.add_argument("--n", required=True, type=_integer)
-    g.add_argument("--s", type=_integer)
-    g.add_argument("--eps")
-    g.add_argument("--scale", type=_integer, default=1)
-    g.add_argument("--max-p", type=_integer, dest="max_p")
-    g.add_argument("--seed", type=_integer, default=0)
+    _add_instance_flags(g, "--seed", required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
@@ -360,13 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run one experiment batch")
     r.add_argument("--in", dest="infile")
-    r.add_argument("--family", choices=("gstar", "uniform"))
-    r.add_argument("--n", type=_integer)
-    r.add_argument("--s", type=_integer)
-    r.add_argument("--eps")
-    r.add_argument("--scale", type=_integer, default=1)
-    r.add_argument("--max-p", type=_integer, dest="max_p")
-    r.add_argument("--instance-seed", type=_integer, default=0, dest="instance_seed")
+    _add_instance_flags(r, "--instance-seed", required=False)
     _add_run_like_flags(r)
     r.set_defaults(func=_cmd_run)
 

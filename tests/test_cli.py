@@ -40,6 +40,81 @@ def test_generate_writes_golden_gstar_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == expected
 
 
+_U6 = "partition v1\nn=6\nmeta=uniform\n41\n41\n12\n10\n9\n5\n"
+_BATCH = ["--trials", "3", "--seed", "2", "--budget", "200", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["generate", "--family", "uniform", "--n", "6", "--max-p", "50", "--out", "OUT"],
+     "config: command=generate family=uniform n=6 max_p=50 instance_seed=0 out=OUT\n"
+     "wrote OUT: n=6 W=134 p_max=43 p_min=3\n"),
+    (["generate", "--family", "gstar", "--n", "8", "--s", "2", "--eps", "1/4",
+      "--out", "OUT"],
+     "config: command=generate family=gstar n=8 s=2 eps=1/4 scale=1 out=OUT\n"
+     "wrote OUT: n=8 W=144 p_max=39 p_min=11\n"),
+    (["run", "--in", "IN", "--algo", "rls"] + _BATCH,
+     "config: command=run in=IN n=6 family=uniform algo=rls trials=3 seed=2 budget=200 "
+     "target=makespan<=60 threads=1 format=csv\n"
+     "summary: optimum=60 best=60 trials=3 evaluations_mean=134.333 "
+     "evaluations_median=200 evaluations_min=3 evaluations_max=200 evaluations_q10=42.4 "
+     "evaluations_q90=200 success_rate=0.333333 ratio_mean=1.02778 ratio_median=1.03333 "
+     "stuck_rate=0.666667 reinit_total=0 trials_with_reinit=0\n"),
+    (["run", "--family", "uniform", "--n", "6", "--max-p", "50", "--algo", "iahyp"] + _BATCH,
+     "config: command=run family=uniform n=6 max_p=50 instance_seed=0 algo=iahyp trials=3 "
+     "seed=2 budget=200 target=makespan<=69 threads=1 format=csv\n"
+     "summary: optimum=69 best=69 trials=3 evaluations_mean=22.3333 evaluations_median=19 "
+     "evaluations_min=1 evaluations_max=47 evaluations_q10=4.6 evaluations_q90=41.4 "
+     "success_rate=1 ratio_mean=1 ratio_median=1 stuck_rate=0 reinit_total=0 "
+     "trials_with_reinit=0\n"),
+], ids=["generate-uniform", "generate-gstar", "run-in", "run-uniform"])
+def test_instance_sources_print_the_pinned_bytes(tmp_path, capsys, argv, expected):
+    """The whole stdout, with the default instance seed and scale; the paths
+    of --in and --out are masked."""
+    paths = {"IN": tmp_path / "u6.txt", "OUT": tmp_path / "out.txt"}
+    paths["IN"].write_text(_U6)
+    code, stdout, stderr = _run(capsys, [str(paths.get(a, a)) for a in argv])
+    assert (code, stderr) == (0, "")
+    for mask, path in paths.items():
+        stdout = stdout.replace(str(path), mask)
+    assert stdout == expected
+
+
+_GSTAR_FLAGS = ["--family", "gstar", "--n", "8", "--s", "2", "--eps", "1/4"]
+_UNIFORM_FLAGS = ["--family", "uniform", "--n", "8", "--max-p", "10"]
+_RUN = ["--algo", "rls", "--budget", "10", "--threads", "1", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--in", "IN", "--n", "99"] + _RUN, "--in takes no --n"),
+    (["run", "--in", "IN", "--s", "4"] + _RUN, "--in takes no --s"),
+    (["run", "--in", "IN", "--eps", "1/9"] + _RUN, "--in takes no --eps"),
+    (["run", "--in", "IN", "--max-p", "3"] + _RUN, "--in takes no --max-p"),
+    (["run", "--in", "IN", "--instance-seed", "0"] + _RUN, "--in takes no --instance-seed"),
+    (["run"] + _UNIFORM_FLAGS + ["--s", "2", "--eps", "1/4"] + _RUN,
+     "--family uniform takes no --s"),
+    (["run"] + _GSTAR_FLAGS + ["--max-p", "7", "--instance-seed", "3"] + _RUN,
+     "--family gstar takes no --max-p"),
+    (["run"] + _GSTAR_FLAGS + ["--instance-seed", "3"] + _RUN,
+     "--family gstar takes no --instance-seed"),
+    (["generate"] + _GSTAR_FLAGS + ["--max-p", "9", "--seed", "4", "--out", "OUT"],
+     "--family gstar takes no --max-p"),
+    (["generate"] + _GSTAR_FLAGS + ["--seed", "4", "--out", "OUT"],
+     "--family gstar takes no --seed"),
+    (["generate"] + _UNIFORM_FLAGS + ["--scale", "3", "--out", "OUT"],
+     "--family uniform takes no --scale"),
+], ids=[
+    "run-in-n", "run-in-s", "run-in-eps", "run-in-max-p", "run-in-instance-seed",
+    "run-uniform-s", "run-gstar-max-p", "run-gstar-instance-seed", "generate-gstar-max-p",
+    "generate-gstar-seed", "generate-uniform-scale",
+])
+def test_an_instance_flag_the_source_does_not_take_fails(tmp_path, capsys, argv, message):
+    paths = {"IN": tmp_path / "u6.txt", "OUT": tmp_path / "out.txt"}
+    paths["IN"].write_text(_U6)
+    code, stdout, stderr = _run(capsys, [str(paths.get(a, a)) for a in argv])
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not paths["OUT"].exists()
+
+
 def test_generate_odd_n_fails_with_validation_code(tmp_path, capsys):
     code, _, stderr = _run(capsys, [
         "generate", "--family", "gstar", "--n", "9", "--s", "2",
