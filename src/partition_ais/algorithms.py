@@ -75,24 +75,16 @@ class TrialResult:
     fitness_trace: tuple[int, ...] | None = None
 
 
-def _rng(seed: int) -> Rng:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def _random_assignment(inst: Instance, rng: Rng) -> Assignment:
-    bits = rng.integers(0, 2, size=inst.n).tolist()
-    load2 = sum(compress(inst.p, bits))
-    return Assignment(bits=bits, load1=inst.W - load2, load2=load2)
-
-
 class _Ledger:
-    """One trial's evaluation account: the count, the trace, best-so-far, the
-    event log, and the stop condition."""
+    """One trial's account: its generator and random starts, the evaluation
+    count, the trace, best-so-far, the event log, and the stop condition."""
 
     def __init__(
-        self, inst: Instance, stop: StopCondition, optimum: int | None, record_trace: bool
+        self, inst: Instance, stop: StopCondition, seed: int, optimum: int | None, record_trace: bool
     ) -> None:
         self.inst = inst
+        self.seed = seed
+        self.rng: Rng = np.random.Generator(np.random.PCG64(seed))
         self.budget = stop.max_evaluations
         self.target, self.ratio_target = stop.resolve_targets(optimum)
         self.trace: list[int] | None = [] if record_trace else None
@@ -112,6 +104,15 @@ class _Ledger:
         if self.trace is not None:
             self.trace.extend(makespans)
 
+    def start(self) -> Assignment:
+        """A uniformly random assignment: charged, passed to improved, returned."""
+        bits = self.rng.integers(0, 2, size=self.inst.n).tolist()
+        load2 = sum(compress(self.inst.p, bits))
+        x = Assignment(bits=bits, load1=self.inst.W - load2, load2=load2)
+        self.charge(x.makespan)
+        self.improved(x, x.makespan)
+        return x
+
     def improved(self, x: Assignment, f: int) -> None:
         """The search arrived at x, of makespan f: a start or a strict improvement.
 
@@ -128,13 +129,13 @@ class _Ledger:
             elif self.ratio_target is not None and f <= self.ratio_target:
                 self.reason = "ratio"
 
-    def result(self, seed: int, ageing: bool = False) -> TrialResult:
+    def result(self, ageing: bool = False) -> TrialResult:
         if self.best_x is None or self.best_f < (self.inst.W + 1) // 2:
             raise ContractViolationError("best makespan fell below W/2; accounting is broken")
         if self.evals > self.budget:
             raise ContractViolationError("evaluation budget was exceeded")
         return TrialResult(
-            seed=int(seed),  # a plain int, also when seed carries its generator state
+            seed=int(self.seed),  # a plain int, also when seed carries its generator state
             evaluations_used=self.evals,
             best_makespan=self.best_f,
             best_assignment=self.best_x,
@@ -212,12 +213,10 @@ def run_ia_hyp(
     A walk that finds no strict improvement flips all n bits and therefore
     hands back the complement, which ties and is accepted.
     """
-    led = _Ledger(inst, stop, optimum, record_trace)
-    rng = _rng(seed)
-    x = _random_assignment(inst, rng)
+    led = _Ledger(inst, stop, seed, optimum, record_trace)
+    rng = led.rng
+    x = led.start()
     fx = x.makespan
-    led.charge(fx)
-    led.improved(x, fx)
     while led.running:
         y, walk = hypermutate_fcm(inst, x, rng, max_evals=led.budget - led.evals)
         led.charge(*walk.fitness_after)
@@ -228,7 +227,7 @@ def run_ia_hyp(
             if fy < fx:
                 fx = fy
                 led.improved(x, fx)
-    return led.result(seed)
+    return led.result()
 
 
 def run_mu_ea_ageing(
@@ -254,9 +253,8 @@ def run_mu_ea_ageing(
         raise ContractViolationError("mu must be at least 1")
     if tau < 1:
         raise ContractViolationError("tau must be at least 1")
-    led = _Ledger(inst, stop, optimum, record_trace)
-    rng = _rng(seed)
-    stream = MutationStream(rng, inst.n)
+    led = _Ledger(inst, stop, seed, optimum, record_trace)
+    stream = MutationStream(led.rng, inst.n)
     # an individual is (fitness, birth generation, assignment), kept sorted by
     # fitness so the worst are last; its age in generation g is g minus its
     # birth, so ages need no per-generation update
@@ -266,12 +264,8 @@ def run_mu_ea_ageing(
 
     def refill() -> None:
         while len(population) < mu and led.running:
-            x = _random_assignment(inst, rng)
-            f = x.makespan
-            led.charge(f)
-            if f < led.best_f:
-                led.improved(x, f)
-            insort(population, (f, gen, x), key=_fitness)
+            x = led.start()
+            insort(population, (x.makespan, gen, x), key=_fitness)
 
     refill()
     while led.running:
@@ -309,7 +303,7 @@ def run_mu_ea_ageing(
             insort(population, (fy, born, y), key=_fitness)
         if len(population) < mu:
             refill()
-    return led.result(seed, ageing=True)
+    return led.result(ageing=True)
 
 
 def run_with_restarts(
@@ -333,20 +327,17 @@ def run_with_restarts(
         raise ContractViolationError("restart wrapper supports algo 'ea' or 'rls'")
     if restart_length < 1:
         raise ContractViolationError("restart_length must be at least 1")
-    led = _Ledger(inst, stop, optimum, record_trace)
-    rng = _rng(seed)
-    stream = MutationStream(rng, inst.n)
+    led = _Ledger(inst, stop, seed, optimum, record_trace)
+    stream = MutationStream(led.rng, inst.n)
     draw = stream.sbm_flips if algo == "ea" else stream.one_flip
     while led.running:
         if led.evals > 0:
             led.log.append((led.evals + 1, "restart"))
         seg_end = min(led.budget, led.evals + restart_length)
-        x = _random_assignment(inst, rng)
-        led.charge(x.makespan)
-        led.improved(x, x.makespan)
+        x = led.start()
         if led.reason is None:
             _climb(led, x, draw, seg_end)
-    return led.result(seed)
+    return led.result()
 
 
 def restart_length_for_ratio(n: int, eps: Fraction | tuple[int, int]) -> int:

@@ -239,10 +239,23 @@ def check_trajectories(seed: int = TRAJECTORY_SEED) -> list[CheckResult]:
     return results
 
 
-def run_suite(suite: str, seed: int | None = None) -> list[CheckResult]:
+def suite_seed(suite: str, seed: int | None) -> int | None:
+    """The seed the suite runs on: its default, or the given non-negative seed
+    for a suite that takes one."""
     if suite not in DEFAULT_SEEDS:
-        raise ContractViolationError(f"unknown suite {suite!r}")
+        raise ContractViolationError(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
+    if seed is None:
+        return DEFAULT_SEEDS[suite]
+    if DEFAULT_SEEDS[suite] is None:
+        raise ContractViolationError(f"suite {suite!r} takes no seed")
+    if seed < 0:
+        raise ContractViolationError("seeds must be non-negative")
+    return seed
+
+
+def run_suite(suite: str, seed: int | None = None) -> list[CheckResult]:
+    seed = suite_seed(suite, seed)
     if suite == "properties":
         return check_properties()
     check = check_oracles if suite == "oracles" else check_trajectories
-    return check(DEFAULT_SEEDS[suite] if seed is None else seed)
+    return check(seed)

@@ -116,8 +116,17 @@ def _instance(
     return inst, pairs + [("max_p", args.max_p), ("instance_seed", seed)]
 
 
+def _check_out(path: str | None) -> None:
+    """Open --out for appending and close it: a path that cannot be written
+    fails here, before any trial and any output. A missing file is created
+    empty; an existing one is not changed here."""
+    if path is not None:
+        open(path, "a").close()
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     inst, pairs = _instance(args, "--seed")
+    _check_out(args.out)
     print(_config_line("generate", pairs + [("out", args.out)]))
     write_instance(inst, args.out)
     print(f"wrote {args.out}: n={inst.n} W={inst.W} p_max={inst.p[0]} p_min={inst.p[-1]}")
@@ -238,6 +247,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         target = f"makespan<={optimum}"
     workers = pool_size(args.threads, args.trials)
     config = _experiment(args, inst, stop, optimum, args.seed, workers)
+    _check_out(args.out)
     print(_config_line("run", source_pairs + _batch_pairs(args, target, workers)))
     report = run_experiment(config)
     if args.out is not None:
@@ -277,6 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         optimum = _optimum(inst, target)
         seed = derive_seed(args.seed, n)
         configs.append(_experiment(args, inst, stop, optimum, seed, workers))
+    _check_out(args.out)
     print(_config_line("sweep", [
         ("family", "gstar"), ("n_list", ",".join(str(n) for n in n_list)),
         ("s", args.s), ("eps", f"{q}/{r}"), ("scale", args.scale),
@@ -295,18 +306,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Imported here: only verify uses the checks, and without cached bytecode
     # compiling them adds about 10 ms to the start of every other command.
-    from .checks import DEFAULT_SEEDS, SUITES, run_suite
+    from .checks import run_suite, suite_seed
 
-    if args.suite not in SUITES:
-        raise ParameterError(f"unknown suite {args.suite!r}; choose one of {', '.join(SUITES)}")
-    resolved_seed = DEFAULT_SEEDS[args.suite] if args.seed is None else args.seed
-    if args.seed is not None:
-        if DEFAULT_SEEDS[args.suite] is None:
-            raise ParameterError(f"suite {args.suite!r} takes no seed")
-        if args.seed < 0:
-            raise ParameterError("seeds must be non-negative")
-    print(_config_line("verify", [("suite", args.suite), ("seed", resolved_seed)]))
-    results = run_suite(args.suite, args.seed)
+    seed = suite_seed(args.suite, args.seed)
+    print(_config_line("verify", [("suite", args.suite), ("seed", seed)]))
+    results = run_suite(args.suite, seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name} measured[{res.measured}] bound[{res.bound}]")

@@ -121,6 +121,17 @@ def test_ageing_wipes_a_stagnant_population():
         assert r.best_makespan == 1
 
 
+def test_ageing_logs_every_start():
+    # with one job every assignment is locally optimal, so each of the three
+    # starts and each of the three refills after the wipe-out is logged
+    r = run_mu_ea_ageing(Instance(p=(5,)), 3, 4, StopCondition(12), 1)
+    assert r.stagnation_log == (
+        (1, "local_optimum"), (2, "local_optimum"), (3, "local_optimum"),
+        (7, "reinit"),
+        (8, "local_optimum"), (9, "local_optimum"), (10, "local_optimum"),
+    )
+
+
 def test_ageing_parameter_validation():
     with pytest.raises(ContractViolationError):
         run_mu_ea_ageing(TINY, 0, 5, StopCondition(10), 0)

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partition_ais import GStarParams, StopCondition, cli, gen_g_star, harness
+from partition_ais import (
+    ContractViolationError, GStarParams, StopCondition, cli, gen_g_star, harness,
+)
 from partition_ais.cli import main
 
 
@@ -108,11 +110,58 @@ _RUN = ["--algo", "rls", "--budget", "10", "--threads", "1", "--out", "OUT"]
     "generate-gstar-seed", "generate-uniform-scale",
 ])
 def test_an_instance_flag_the_source_does_not_take_fails(tmp_path, capsys, argv, message):
+    _assert_fails_before_output(tmp_path, capsys, argv, message)
+
+
+def _assert_fails_before_output(tmp_path, capsys, argv, message):
+    """Exit 2 with one error: line, nothing on stdout and no OUT file; IN is
+    a small instance file."""
     paths = {"IN": tmp_path / "u6.txt", "OUT": tmp_path / "out.txt"}
     paths["IN"].write_text(_U6)
     code, stdout, stderr = _run(capsys, [str(paths.get(a, a)) for a in argv])
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
     assert not paths["OUT"].exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--in", "IN"] + _GSTAR_FLAGS + _RUN, "give either --in or --family, not both"),
+    (["run", "--family", "gstar"] + _RUN, "--family needs --n"),
+    (["run", "--family", "gstar", "--n", "8", "--s", "2"] + _RUN,
+     "family gstar needs --s and --eps"),
+    (["generate", "--family", "gstar", "--n", "8", "--eps", "1/4", "--out", "OUT"],
+     "family gstar needs --s and --eps"),
+    (["run", "--family", "uniform", "--n", "8"] + _RUN, "family uniform needs --max-p"),
+    (["run"] + _GSTAR_FLAGS + _RUN + ["--target-ratio", "3/2", "--no-target"],
+     "choose one of --target-ratio and --no-target"),
+    (["sweep", "--n-list", "8", "--s", "2"] + _RUN,
+     "sweep needs --s and --eps for the gstar family"),
+    (["run"] + _GSTAR_FLAGS + _RUN + ["--mu", "2"],
+     "mu (--mu) other than 1 only applies to ageing"),
+], ids=[
+    "in-and-family", "family-without-n", "run-gstar-without-eps", "generate-gstar-without-s",
+    "uniform-without-max-p", "ratio-and-no-target", "sweep-without-eps", "mu-without-ageing",
+])
+def test_incomplete_or_conflicting_flags_fail_before_any_output(
+    tmp_path, capsys, argv, message
+):
+    _assert_fails_before_output(tmp_path, capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate"] + _GSTAR_FLAGS,
+    ["run"] + _GSTAR_FLAGS + _BATCH + ["--algo", "rls"],
+    ["sweep", "--n-list", "8,12", "--s", "2", "--eps", "1/4", "--algo", "rls"] + _BATCH,
+], ids=["generate", "run", "sweep"])
+@pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
+def test_an_unwritable_out_fails_before_any_trial(monkeypatch, tmp_path, capsys, argv, out):
+    def no_batch(config):
+        raise AssertionError("a batch was run")
+
+    monkeypatch.setattr(cli, "run_experiment", no_batch)
+    code, stdout, stderr = _run(capsys, argv + ["--out", str(tmp_path / out)])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: [Errno ") and stderr.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_generate_odd_n_fails_with_validation_code(tmp_path, capsys):
@@ -142,6 +191,12 @@ def test_solve_dp_and_lpt(tmp_path, capsys):
     code, stdout, _ = _run(capsys, ["solve", "--in", str(inst), "--method", "dp"])
     assert code == 0
     assert "makespan=72" in stdout
+
+    code, stdout, _ = _run(capsys, [
+        "solve", "--in", str(inst), "--method", "dp", "--assignment",
+    ])
+    assert code == 0
+    assert stdout.splitlines()[1:] == ["makespan=72", "assignment=10111000"]
 
     code, stdout, _ = _run(capsys, [
         "solve", "--in", str(inst), "--method", "brute", "--assignment",
@@ -686,6 +741,20 @@ def test_verify_rejects_a_negative_seed(capsys, suite):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: seeds must be non-negative\n"
+
+
+@pytest.mark.parametrize("suite, seed, message", [
+    ("bogus", None, "unknown suite 'bogus'; choose one of oracles, properties, trajectories"),
+    ("properties", 5, "suite 'properties' takes no seed"),
+    ("oracles", -1, "seeds must be non-negative"),
+    ("trajectories", -1, "seeds must be non-negative"),
+], ids=["unknown", "properties-seed", "oracles-negative", "trajectories-negative"])
+def test_run_suite_holds_the_verify_rules(suite, seed, message):
+    from partition_ais import checks
+
+    with pytest.raises(ContractViolationError) as exc:
+        checks.run_suite(suite, seed)
+    assert str(exc.value) == message
 
 
 def test_verify_properties_takes_no_seed(capsys):

@@ -25,6 +25,7 @@ from partition_ais import (
     run_ia_hyp,
     run_mu_ea_ageing,
     run_rls,
+    run_with_restarts,
 )
 from partition_ais import harness
 from partition_ais.harness import CSV_COLUMNS
@@ -82,6 +83,8 @@ def test_trial_seed_generates_the_state_of_its_seed_sequence(n_words, dtype):
 @pytest.mark.parametrize("algorithm, extra", [
     ("iahyp", {}),
     ("ageing", {"mu": 3, "tau": 20}),
+    ("ea-restart", {"restart_length": 10}),
+    ("rls-restart", {"restart_length": 10}),
 ])
 def test_every_trial_is_reproduced_by_its_runner(algorithm, extra):
     config = _config(algorithm=algorithm, trials=37, **extra)
@@ -90,8 +93,11 @@ def test_every_trial_is_reproduced_by_its_runner(algorithm, extra):
         assert r.seed == derive_seed(77, i)
         if algorithm == "iahyp":
             direct = run_ia_hyp(G8, config.stop, r.seed, optimum=72)
-        else:
+        elif algorithm == "ageing":
             direct = run_mu_ea_ageing(G8, 3, 20, config.stop, r.seed, optimum=72)
+        else:
+            base = algorithm.split("-")[0]
+            direct = run_with_restarts(base, G8, 10, config.stop, r.seed, optimum=72)
         assert direct == r
 
 
