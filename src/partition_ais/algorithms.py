@@ -1,13 +1,14 @@
 """Solver loops with exact evaluation accounting.
 
-Every runner charges one evaluation per sampled solution to a _Ledger, which
-checks the stop condition after every single evaluation, and is bit-for-bit
-deterministic in (instance, parameters, seed). Mutation randomness comes in
-blocks from a MutationStream. An offspring is scored by its load change
-against its parent, and its bits are copied or flipped only once it is kept;
-an offspring with no flipped bit is charged but not computed (Carvalho Pinto
-and Doerr, "Towards a More Practice-Aware Runtime Analysis of Evolutionary
-Algorithms", 2018).
+Every runner charges each evaluation to a _Ledger, spends exactly its budget
+unless a target stops it first, and is bit-for-bit deterministic in
+(instance, parameters, seed). Mutation randomness comes in blocks from a
+MutationStream, and hypermutation walk orders from walk_orders. One
+evaluation in a runner's loop is local arithmetic on the parent's loads: an
+offspring is scored by its load change against its parent, and its bits are
+copied or flipped only once it is kept; an offspring with no flipped bit is
+charged but not computed (Carvalho Pinto and Doerr, "Towards a More
+Practice-Aware Runtime Analysis of Evolutionary Algorithms", 2018).
 """
 
 from __future__ import annotations
@@ -17,23 +18,18 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
-from typing import Callable
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    Assignment,
-    ContractViolationError,
-    Instance,
-    flip_in_place,
-    is_local_optimum,
-    makespan_after,
-)
-from .operators import MutationStream, flipped, hypermutate_fcm
+from .core import Assignment, ContractViolationError, Instance, is_local_optimum
+from .operators import MutationStream, walk, walk_orders
 
 Rng = np.random.Generator
-_fitness = itemgetter(0)
+
+# Evaluations a loop charges at most at once: bounds its list of makespans
+# when a long run reaches no event.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,13 @@ class TrialResult:
 
 class _Ledger:
     """One trial's account: its generator and random starts, the evaluation
-    count, the trace, best-so-far, the event log, and the stop condition."""
+    count, the trace, best-so-far, the event log, and the stop condition.
+
+    A runner's loop keeps the makespans of its evaluations since the last
+    event in a list of its own, and charges them in one call before every
+    improved, log entry and start, after at most _CHUNK of them (a walk
+    may end beyond), and when it stops.
+    """
 
     def __init__(
         self, inst: Instance, stop: StopCondition, seed: int, optimum: int | None, record_trace: bool
@@ -98,18 +100,19 @@ class _Ledger:
     def running(self) -> bool:
         return self.reason is None and self.evals < self.budget
 
-    def charge(self, *makespans: int) -> None:
-        """One evaluation per makespan given, in order."""
+    def charge(self, makespans: list[int]) -> None:
+        """One evaluation per makespan given, in order; empties the list."""
         self.evals += len(makespans)
         if self.trace is not None:
-            self.trace.extend(makespans)
+            self.trace += makespans
+        makespans.clear()
 
     def start(self) -> Assignment:
         """A uniformly random assignment: charged, passed to improved, returned."""
         bits = self.rng.integers(0, 2, size=self.inst.n).tolist()
         load2 = sum(compress(self.inst.p, bits))
         x = Assignment(bits=bits, load1=self.inst.W - load2, load2=load2)
-        self.charge(x.makespan)
+        self.charge([x.makespan])
         self.improved(x, x.makespan)
         return x
 
@@ -147,27 +150,40 @@ class _Ledger:
 
 
 def _climb(
-    led: _Ledger, x: Assignment, draw: Callable[[], list[int]], seg_end: int
+    led: _Ledger, x: Assignment, offspring: Iterator[Sequence[int]], seg_end: int
 ) -> None:
     """Mutate x in place, keeping offspring with f(y) <= f(x), until seg_end
-    evaluations or a target."""
-    inst = led.inst
+    evaluations or a target. Each offspring is the bits it flips, scored by
+    its load change against x."""
+    p, W = led.inst.p, led.inst.W
+    bits, load2 = x.bits, x.load2
     fx = x.makespan
+    made: list[int] = []
+    keep = made.append
     while led.evals < seg_end:
-        flips = draw()
-        if not flips:
-            led.charge(fx)
-            continue
-        fy = makespan_after(inst, x, flips)
-        led.charge(fy)
-        if fy <= fx:
+        for _, flips in zip(range(min(seg_end - led.evals, _CHUNK)), offspring):
+            if not flips:  # the parent itself: charged, not computed
+                keep(fx)
+                continue
+            l2 = load2
             for i in flips:
-                flip_in_place(inst, x, i)
-            if fy < fx:
-                fx = fy
-                led.improved(x, fx)
-                if led.reason is not None:
-                    return
+                l2 += -p[i] if bits[i] else p[i]
+            l1 = W - l2
+            fy = l1 if l1 > l2 else l2  # builtin max costs more than the rest
+            keep(fy)
+            if fy <= fx:
+                for i in flips:
+                    bits[i] ^= 1
+                load2 = l2
+                if fy < fx:
+                    fx = fy
+                    x.load1, x.load2 = l1, l2
+                    led.charge(made)
+                    led.improved(x, fx)
+                    if led.reason is not None:
+                        return
+        led.charge(made)
+    x.load1, x.load2 = W - load2, load2
 
 
 def run_one_one_ea(
@@ -211,22 +227,41 @@ def run_ia_hyp(
     """Hypermutation walks with first-constructive stops; accept iff not worse.
 
     A walk that finds no strict improvement flips all n bits and therefore
-    hands back the complement, which ties and is accepted.
+    hands back the complement, which ties and is accepted. The walks run on
+    x's bits in place; only a walk cut short by the budget can end worse, and
+    it is undone.
     """
     led = _Ledger(inst, stop, seed, optimum, record_trace)
-    rng = led.rng
     x = led.start()
-    fx = x.makespan
-    while led.running:
-        y, walk = hypermutate_fcm(inst, x, rng, max_evals=led.budget - led.evals)
-        led.charge(*walk.fitness_after)
-        fy = walk.fitness_after[-1]
-        if fy <= fx:
-            # x takes y's state but keeps its identity, which the ledger's best holds
-            x.bits, x.load1, x.load2 = y.bits, y.load1, y.load2
+    p, W, n, bits = inst.p, inst.W, inst.n, x.bits
+    fx, load2 = x.makespan, x.load2
+    made: list[int] = []
+    left = led.budget - led.evals
+    if led.reason is None and left:
+        for order in walk_orders(n, led.rng):
+            if left < n:
+                order = order[:left]
+            done, parent_load2 = len(made), load2
+            load2 = walk(p, W, bits, load2, order, fx, made)
+            left -= len(made) - done
+            fy = made[-1]
             if fy < fx:
                 fx = fy
+                x.load1, x.load2 = W - load2, load2
+                led.charge(made)
                 led.improved(x, fx)
+                if led.reason is not None:
+                    break
+            elif fy > fx:
+                for i in order:
+                    bits[i] ^= 1
+                load2 = parent_load2
+            if not left:
+                break
+            if len(made) >= _CHUNK:
+                led.charge(made)
+    x.load1, x.load2 = W - load2, load2
+    led.charge(made)
     return led.result()
 
 
@@ -254,55 +289,85 @@ def run_mu_ea_ageing(
     if tau < 1:
         raise ContractViolationError("tau must be at least 1")
     led = _Ledger(inst, stop, seed, optimum, record_trace)
+    p, W = inst.p, inst.W
     stream = MutationStream(led.rng, inst.n)
-    # an individual is (fitness, birth generation, assignment), kept sorted by
-    # fitness so the worst are last; its age in generation g is g minus its
-    # birth, so ages need no per-generation update
-    population: list[tuple[int, int, Assignment]] = []
+    blocks = stream.blocks
+    # an individual is (fitness, insertion number, birth generation,
+    # assignment), kept sorted so the worst are last and, among equals, the
+    # latest inserted; its age in generation g is g minus its birth, so ages
+    # need no per-generation update
+    population: list[tuple[int, int, int, Assignment]] = []
+    inserted = 0
     gen = 0
     first_birth = 0  # no individual was born before this
+    made: list[int] = []
+    keep = made.append
 
     def refill() -> None:
+        nonlocal inserted
+        led.charge(made)
         while len(population) < mu and led.running:
             x = led.start()
-            insort(population, (x.makespan, gen, x), key=_fitness)
+            inserted += 1
+            insort(population, (x.makespan, inserted, gen, x))
 
     refill()
-    while led.running:
-        gen += 1
-        fp, bp, xp = population[stream.below(len(population))]
-        flips = stream.sbm_flips()
-        fy = makespan_after(inst, xp, flips)
-        led.charge(fy)
-        y = xp  # the child shares its parent's assignment until it is kept
-        if fy < led.best_f:
-            y = flipped(inst, xp, flips)
-            led.improved(y, fy)
-            if led.reason is not None:
+    left = led.budget - led.evals if led.reason is None else 0
+    picks, offspring = stream.draws(mu), stream.sbm_offspring()
+    # the population holds mu at the top of every generation
+    while left:
+        for _, pick, flips in zip(range(_CHUNK), picks, offspring):
+            gen += 1
+            fp, _, bp, xp = population[pick]
+            bits, l2 = xp.bits, xp.load2
+            for i in flips:
+                l2 += -p[i] if bits[i] else p[i]
+            l1 = W - l2
+            fy = l1 if l1 > l2 else l2  # builtin max costs more than the rest
+            keep(fy)
+            left -= 1
+            y = xp  # the child shares its parent's assignment until it is kept
+            if fy < led.best_f:
+                y = Assignment(bits[:], l1, l2)
+                for i in flips:
+                    y.bits[i] ^= 1
+                led.charge(made)
+                led.improved(y, fy)
+                if led.reason is not None:
+                    left = 0
+                    break
+            born = gen if fy < fp else bp
+            lives = gen - born < tau
+            if gen - first_birth >= tau:
+                population[:] = [ind for ind in population if gen - ind[2] < tau]
+                first_birth = min([ind[2] for ind in population], default=gen)
+                if not population and not lives:
+                    led.charge(made)
+                    led.log.append((led.evals, "reinit"))
+            if lives and len(population) == mu:
+                # one of the mu + 1 goes: uniform among the worst, the child last
+                last = population[-1][0]
+                worst = last if last > fy else fy
+                lo = bisect_left(population, (worst,))
+                ties = mu - lo + (fy == worst)
+                j = lo + (blocks.get(ties) or stream.block(ties)).pop() if ties > 1 else lo
+                if j == mu:
+                    lives = False
+                else:
+                    population.pop(j)
+            if lives:
+                if y is xp and flips:
+                    y = Assignment(bits[:], l1, l2)
+                    for i in flips:
+                        y.bits[i] ^= 1
+                inserted += 1
+                insort(population, (fy, inserted, born, y))
+            if len(population) < mu:
+                refill()
+                left = led.budget - led.evals if led.reason is None else 0
+            if not left:
                 break
-        born = gen if fy < fp else bp
-        lives = gen - born < tau
-        if gen - first_birth >= tau:
-            population[:] = [ind for ind in population if gen - ind[1] < tau]
-            first_birth = min([ind[1] for ind in population], default=gen)
-            if not population and not lives:
-                led.log.append((led.evals, "reinit"))
-        if lives and len(population) == mu:
-            # one of the mu + 1 goes: uniform among the worst, the child last
-            worst = population[-1][0] if population[-1][0] > fy else fy
-            lo = bisect_left(population, worst, key=_fitness)
-            ties = len(population) - lo + (fy == worst)
-            j = lo + stream.below(ties) if ties > 1 else lo
-            if j == len(population):
-                lives = False
-            else:
-                population.pop(j)
-        if lives:
-            if y is xp and flips:
-                y = flipped(inst, xp, flips)
-            insort(population, (fy, born, y), key=_fitness)
-        if len(population) < mu:
-            refill()
+        led.charge(made)
     return led.result(ageing=True)
 
 
@@ -329,14 +394,14 @@ def run_with_restarts(
         raise ContractViolationError("restart_length must be at least 1")
     led = _Ledger(inst, stop, seed, optimum, record_trace)
     stream = MutationStream(led.rng, inst.n)
-    draw = stream.sbm_flips if algo == "ea" else stream.one_flip
+    offspring = stream.sbm_offspring() if algo == "ea" else stream.one_flips()
     while led.running:
         if led.evals > 0:
             led.log.append((led.evals + 1, "restart"))
         seg_end = min(led.budget, led.evals + restart_length)
         x = led.start()
         if led.reason is None:
-            _climb(led, x, draw, seg_end)
+            _climb(led, x, offspring, seg_end)
     return led.result()
 
 

@@ -106,19 +106,6 @@ def flip_in_place(inst: Instance, x: Assignment, i: int) -> Assignment:
     return x
 
 
-def makespan_after(inst: Instance, x: Assignment, flips: list[int]) -> int:
-    """Makespan of x with the bits in flips toggled, from the load change alone.
-
-    x is left untouched; flips holds distinct valid indices.
-    """
-    p, bits = inst.p, x.bits
-    load2 = x.load2
-    for i in flips:
-        load2 += -p[i] if bits[i] else p[i]
-    load1 = inst.W - load2
-    return load1 if load1 > load2 else load2  # builtin max costs more than the rest
-
-
 def is_local_optimum(inst: Instance, x: Assignment) -> bool:
     """True iff no single flip strictly decreases the makespan.
 

@@ -31,14 +31,13 @@ from .algorithms import (
     run_rls,
     run_with_restarts,
 )
-from .core import ContractViolationError, Instance
+from .core import ContractViolationError, Instance, is_local_optimum
 from .oracles import (
-    CapacityError,
-    # not called here: perfbench/run.py traces the oracles in this namespace
+    # not called here: perfbench/run.py traces these oracles in this namespace
     brute_force_optimum,  # noqa: F401
     dp_optimal_makespan,
-    enumerate_local_optima,
-    g_star_local_optima,
+    enumerate_local_optima,  # noqa: F401
+    g_star_local_optima,  # noqa: F401
 )
 
 ALGORITHMS = ("iahyp", "ageing", "ea", "rls", "ea-restart", "rls-restart")
@@ -239,18 +238,6 @@ def _execute_trial(config: ExperimentConfig, seed: int) -> TrialResult:
     return run_with_restarts(base, inst, config.restart_length, stop, seed, optimum=optimum)
 
 
-def _known_local_optima(inst: Instance) -> tuple[int, ...] | None:
-    """Local-optimum makespans by enumeration, else by the gstar closed form."""
-    try:
-        return enumerate_local_optima(inst).distinct_makespans
-    except CapacityError:
-        pass
-    try:
-        return g_star_local_optima(inst)
-    except ContractViolationError:
-        return None
-
-
 def _summarize(
     config: ExperimentConfig, results: Sequence[TrialResult]
 ) -> dict[str, float | int | None]:
@@ -278,15 +265,11 @@ def _summarize(
     ratios = [r.best_makespan / optimum for r in results] if optimum else []
     summary["ratio_mean"] = statistics.fmean(ratios) if ratios else None
     summary["ratio_median"] = statistics.median(ratios) if ratios else None
-    known = _known_local_optima(config.instance)
-    if known:
-        reference = optimum if optimum is not None else known[0]
-        levels = set(known)
-        summary["stuck_rate"] = (
-            sum(r.best_makespan in levels and r.best_makespan > reference for r in results) / k
-        )
-    else:
-        summary["stuck_rate"] = None
+    # stuck: the trial ended on a local optimum above the optimum
+    summary["stuck_rate"] = None if optimum is None else sum(
+        r.best_makespan > optimum and is_local_optimum(config.instance, r.best_assignment)
+        for r in results
+    ) / k
     summary["reinit_total"] = sum(r.reinit_count or 0 for r in results)
     summary["trials_with_reinit"] = sum(bool(r.reinit_count) for r in results)
     return summary

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -204,28 +205,42 @@ def test_results_never_exceed_budget_with_targets():
                 assert r.best_makespan > 72
 
 
+class _Handouts(list):
+    """A block of draws that records each value as it is popped, that is,
+    handed out."""
+
+    def __init__(self, values, record):
+        super().__init__(values)
+        self.record = record
+
+    def pop(self):
+        value = super().pop()
+        self.record.append(value)
+        return value
+
+
 class _RecordingStream(algorithms.MutationStream):
-    """The runners' mutation stream, keeping every draw it hands out."""
+    """The runners' mutation stream, keeping every draw it hands out: each
+    offspring as its iterator yields it, and each draw below k as a runner
+    or the stream pops it from its block."""
 
     def __init__(self, rng, n):
         super().__init__(rng, n)
         self.offspring: list[list[int]] = []
         self.below_draws: dict[int, list[int]] = defaultdict(list)
 
-    def below(self, k):
-        value = super().below(k)
-        self.below_draws[k].append(value)
-        return value
+    def _draw_block(self, k):
+        return _Handouts(super()._draw_block(k), self.below_draws[k])
 
-    def sbm_flips(self):
-        flips = super().sbm_flips()
-        self.offspring.append(flips)
-        return flips
+    def sbm_offspring(self):
+        for flips in super().sbm_offspring():
+            self.offspring.append(list(flips))
+            yield flips
 
-    def one_flip(self):
-        flips = super().one_flip()
-        self.offspring.append(flips)
-        return flips
+    def one_flips(self):
+        for flips in super().one_flips():
+            self.offspring.append(list(flips))
+            yield flips
 
 
 @pytest.fixture
@@ -343,3 +358,62 @@ def test_seeded_invariants_hold_for_all_runners_on_random_instances():
             assert len(r.fitness_trace) == r.evaluations_used, name
             assert min(r.fitness_trace) == r.best_makespan, name
             assert all(1 <= at <= r.evaluations_used for at, _ in r.stagnation_log), name
+
+
+_PIN_INSTANCES = (G32, gen_uniform(20, 1000, 3))
+
+# First 16 hex digits of the SHA-256 of repr() of a runner's TrialResults, with
+# record_trace=True, over the grid of _pinned_results: any change to a draw, a
+# trace, an event index or a final assignment moves them.
+_PINNED_RESULTS = {
+    "rls": "b929fb0e08131a9c",
+    "ea": "574e61714429b2bd",
+    "iahyp": "37b722a05abc906a",
+    "ageing mu=1 tau=4": "44285c5e688c70b6",
+    "ageing mu=3 tau=7": "d3c1159bb1abd64e",
+    "ageing mu=5 tau=182": "4db796a0466c8f9c",
+    "ea-restart 1": "45cdf9b33bc8c859",
+    "ea-restart 7": "8bd9c32795fa596f",
+    "ea-restart 242": "c59f6775dc0a2731",
+    "rls-restart 1": "45cdf9b33bc8c859",
+    "rls-restart 7": "c986b5039eaae46f",
+    "rls-restart 242": "b5f56ddfe27adfae",
+}
+
+
+def _pinned_runners():
+    yield "rls", run_rls
+    yield "ea", run_one_one_ea
+    yield "iahyp", run_ia_hyp
+    for mu, tau in ((1, 4), (3, 7), (5, 182)):
+        yield f"ageing mu={mu} tau={tau}", (
+            lambda inst, stop, seed, mu=mu, tau=tau, **kw:
+            run_mu_ea_ageing(inst, mu, tau, stop, seed, **kw))
+    for algo in ("ea", "rls"):
+        for length in (1, 7, 242):
+            yield f"{algo}-restart {length}", (
+                lambda inst, stop, seed, algo=algo, length=length, **kw:
+                run_with_restarts(algo, inst, length, stop, seed, **kw))
+
+
+def _pinned_results(run) -> tuple:
+    """One runner on both instances, three stops (two budgets with no target,
+    the optimum with a budget of 10^5) and seeds 0-3. The budget-5000 iahyp
+    trials walk more often than one block of flip orders holds, and budgets
+    257 and 5000 cut walks short."""
+    results = []
+    for inst in _PIN_INSTANCES:
+        optimum = dp_optimal_makespan(inst)
+        for stop in (
+            StopCondition(257), StopCondition(5000),
+            StopCondition(10**5, target_makespan=optimum),
+        ):
+            results += [run(inst, stop, seed, record_trace=True) for seed in range(4)]
+    return tuple(results)
+
+
+@pytest.mark.parametrize("name", _PINNED_RESULTS)
+def test_runner_results_are_pinned(name):
+    run = dict(_pinned_runners())[name]
+    digest = hashlib.sha256(repr(_pinned_results(run)).encode()).hexdigest()[:16]
+    assert digest == _PINNED_RESULTS[name]

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from partition_ais import (
-    ContractViolationError, GStarParams, StopCondition, cli, gen_g_star, harness,
+    ContractViolationError, ExperimentConfig, GStarParams, StopCondition, cli, gen_g_star,
+    harness, is_local_optimum, read_instance, run_experiment,
 )
 from partition_ais.cli import main
 
@@ -633,9 +634,10 @@ def test_sweep_rejects_a_bad_size_before_the_first_batch(
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
-def test_a_mistagged_gstar_file_runs_without_a_stuck_rate(tmp_path, capsys):
+def test_a_mistagged_gstar_file_gets_a_stuck_rate_from_its_dp_optimum(tmp_path, capsys):
     """A gstar tag on times that are not two-valued, beyond the enumeration
-    limit: the closed form declines the instance and the batch still exports."""
+    limit: the batch exports, and its stuck rate counts the trials that ended
+    on a local optimum above the DP optimum."""
     inst = tmp_path / "mistagged.txt"
     inst.write_text(
         "partition v1\nn=26\nmeta=gstar;s=2;eps=1/4;scale=1\n"
@@ -647,10 +649,19 @@ def test_a_mistagged_gstar_file_runs_without_a_stuck_rate(tmp_path, capsys):
         "--threads", "1", "--format", "json", "--out", str(out),
     ])
     assert (code, stderr) == (0, "")
-    assert " stuck_rate=- " in stdout
     data = json.loads(out.read_text())
     assert len(data["trials"]) == 3
-    assert data["summary"]["stuck_rate"] is None
+    report = run_experiment(ExperimentConfig(
+        instance=read_instance(str(inst)), algorithm="rls", trials=3, master_seed=0,
+        stop=StopCondition(500), optimum_source="dp",
+    ))
+    stuck = sum(
+        r.best_makespan > report.optimum
+        and is_local_optimum(report.config.instance, r.best_assignment)
+        for r in report.results
+    )
+    assert data["summary"]["stuck_rate"] == report.summary["stuck_rate"] == stuck / 3
+    assert f" stuck_rate={stuck / 3:.6g} " in stdout
 
 
 def test_sweep_merged_csv(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,11 @@ from partition_ais import (
     StopCondition,
     derive_seed,
     dp_optimal_makespan,
+    enumerate_local_optima,
     export_report,
     gen_g_star,
     gen_uniform,
+    is_local_optimum,
     run_experiment,
     run_ia_hyp,
     run_mu_ea_ageing,
@@ -290,22 +293,38 @@ def test_stuck_rate_enumerated_and_analytic_paths():
     assert big.summary["stuck_rate"] == stuck / 10
 
 
-def test_stuck_rate_from_the_closed_form_beyond_enumeration():
-    """At W >= 2^62 enumeration declines a small gstar instance, and the
-    closed form gives its local optima: 72 and 78 times the scale."""
+def _stuck(report) -> int:
+    """Trials that ended on a local optimum above the batch's optimum."""
+    inst = report.config.instance
+    return sum(
+        r.best_makespan > report.optimum and is_local_optimum(inst, r.best_assignment)
+        for r in report.results
+    )
+
+
+def test_stuck_rate_needs_an_optimum():
+    """Beyond the DP and enumeration (W >= 2^62) a provided optimum gives a
+    stuck rate from each trial's final state, here at the trap level 78 times
+    the scale; without an optimum there is none."""
     scale = 10**18
-    report = run_experiment(_config(
+    config = _config(
         instance=gen_g_star(GStarParams(n=8, s=2, eps=(1, 4), scale=scale)),
         trials=20,
         stop=StopCondition(3000),
-        optimum_source="none",
-    ))
-    stuck = sum(r.best_makespan == 78 * scale for r in report.results)
+        optimum_source="provided",
+        optimum=72 * scale,
+    )
+    report = run_experiment(config)
+    stuck = _stuck(report)
     assert 0 < stuck < 20
+    assert stuck == sum(r.best_makespan == 78 * scale for r in report.results)
     assert report.summary["stuck_rate"] == stuck / 20
+    unknown = run_experiment(replace(config, optimum_source="none"))
+    assert unknown.results == report.results
+    assert unknown.summary["stuck_rate"] is None
 
 
-def test_stuck_rate_unavailable_for_large_foreign_instances(monkeypatch):
+def test_stuck_rate_from_final_states_of_a_large_foreign_instance(monkeypatch):
     dp_calls = []
 
     def counted_dp(inst):
@@ -320,11 +339,27 @@ def test_stuck_rate_unavailable_for_large_foreign_instances(monkeypatch):
         optimum_source="dp",
     )
     report = run_experiment(config)
-    assert report.summary["stuck_rate"] is None
+    assert report.summary["stuck_rate"] == _stuck(report) / 3
     # the optimum is resolved once; the report keeps the caller's config
     assert dp_calls == [config.instance]
     assert report.config is config
     assert report.optimum == dp_optimal_makespan(config.instance)
+
+
+def test_stuck_rate_leaves_out_trials_cut_short_mid_climb():
+    """At budget 20 many ea trials end on a makespan that is a local-optimum
+    level of the instance while their assignment is not a local optimum.
+    Counted by level, 30 of the 100 trials would be stuck; counted by their
+    final states, 14 are."""
+    report = run_experiment(_config(
+        instance=gen_uniform(8, 10, 1), algorithm="ea", trials=100, master_seed=0,
+        stop=StopCondition(20),
+    ))
+    assert report.optimum == 26
+    levels = set(enumerate_local_optima(report.config.instance).distinct_makespans)
+    assert sum(r.best_makespan in levels and r.best_makespan > 26 for r in report.results) == 30
+    assert _stuck(report) == 14
+    assert report.summary["stuck_rate"] == 0.14
 
 
 def test_config_validation():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from partition_ais import (
     hypermutate_fcm,
     hypermutation_full_trajectory,
     one_bit_flip,
+    operators,
     sbm,
 )
 
@@ -114,6 +117,33 @@ def test_flip_orders_draw_as_successive_walks(n):
     parts = [flip_orders(n, split_rng, k) for k in (1, 2, 0, 4)]
     assert np.array_equal(np.concatenate(parts), orders)
     assert split_rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [1, 32, 4096])
+def test_walk_orders_draw_as_successive_permutations(monkeypatch, n):
+    """Blocks of 4, 8, 16, ... walks up to the entry cap, then capped blocks:
+    together they are the orders of as many rng.permutation(n) calls, and the
+    generator is left where those calls leave it."""
+    shapes = []
+
+    def recorded(n, rng, walks):
+        block = flip_orders(n, rng, walks)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(operators, "flip_orders", recorded)
+    most = max(1, operators.ORDER_ENTRIES // n)
+    sizes = [4]
+    while sizes[-1] < most:
+        sizes.append(2 * sizes[-1])
+    sizes = [min(w, most) for w in sizes] + [most, most]
+    walks = sum(sizes)
+    block_rng, walk_rng = _rng(43), _rng(43)
+    orders = list(islice(operators.walk_orders(n, block_rng), walks))
+    assert shapes == [(w, n) for w in sizes]
+    assert all(w * n <= operators.ORDER_ENTRIES for w in sizes)
+    assert orders == [walk_rng.permutation(n).tolist() for _ in range(walks)]
+    assert block_rng.bit_generator.state == walk_rng.bit_generator.state
 
 
 def test_sbm_flip_count_distribution():
