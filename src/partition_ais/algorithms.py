@@ -27,8 +27,8 @@ from .operators import MutationStream, walk, walk_orders
 
 Rng = np.random.Generator
 
-# Evaluations a loop charges at most at once: bounds its list of makespans
-# when a long run reaches no event.
+# Evaluations a loop leaves pending at most before it charges them: bounds
+# the ledger's list of makespans when a long run reaches no event.
 _CHUNK = 256
 
 
@@ -75,10 +75,10 @@ class _Ledger:
     """One trial's account: its generator and random starts, the evaluation
     count, the trace, best-so-far, the event log, and the stop condition.
 
-    A runner's loop keeps the makespans of its evaluations since the last
-    event in a list of its own, and charges them in one call before every
-    improved, log entry and start, after at most _CHUNK of them (a walk
-    may end beyond), and when it stops.
+    A runner's loop appends the makespan of each evaluation to made; the
+    ledger charges them before every start, improvement, logged event and
+    result, and the loop itself after at most _CHUNK of them (a walk may
+    end beyond).
     """
 
     def __init__(
@@ -91,28 +91,40 @@ class _Ledger:
         self.target, self.ratio_target = stop.resolve_targets(optimum)
         self.trace: list[int] | None = [] if record_trace else None
         self.log: list[tuple[int, str]] = []
+        self.made: list[int] = []  # makespans evaluated, not yet charged
         self.evals = 0
         self.best_f = inst.W + 1  # above every makespan
         self.best_x: Assignment | None = None
         self.reason: str | None = None
 
     @property
-    def running(self) -> bool:
-        return self.reason is None and self.evals < self.budget
+    def left(self) -> int:
+        """Evaluations still to spend, pending ones counted; 0 once a target is met."""
+        return 0 if self.reason is not None else self.budget - self.evals - len(self.made)
 
-    def charge(self, makespans: list[int]) -> None:
-        """One evaluation per makespan given, in order; empties the list."""
-        self.evals += len(makespans)
+    def charge(self) -> None:
+        """One evaluation per pending makespan, in order; empties made in place."""
+        self.evals += len(self.made)
         if self.trace is not None:
-            self.trace += makespans
-        makespans.clear()
+            self.trace += self.made
+        self.made.clear()
 
-    def start(self) -> Assignment:
-        """A uniformly random assignment: charged, passed to improved, returned."""
+    def event(self, name: str) -> None:
+        """Log name at the last evaluation, pending ones charged first."""
+        self.charge()
+        self.log.append((self.evals, name))
+
+    def start(self, event: str | None = None) -> Assignment:
+        """A uniformly random assignment: charged, passed to improved, returned.
+
+        An event is logged at the start's own evaluation, before its arrival.
+        """
         bits = self.rng.integers(0, 2, size=self.inst.n).tolist()
         load2 = sum(compress(self.inst.p, bits))
         x = Assignment(bits=bits, load1=self.inst.W - load2, load2=load2)
-        self.charge([x.makespan])
+        self.made.append(x.makespan)
+        if event is not None:
+            self.event(event)
         self.improved(x, x.makespan)
         return x
 
@@ -123,6 +135,7 @@ class _Ledger:
         The best is kept by reference, so a lineage that goes on changing x in
         place through equal-makespan moves exports its final state.
         """
+        self.charge()
         if is_local_optimum(self.inst, x):
             self.log.append((self.evals, "local_optimum"))
         if f < self.best_f:
@@ -133,6 +146,7 @@ class _Ledger:
                 self.reason = "ratio"
 
     def result(self, ageing: bool = False) -> TrialResult:
+        self.charge()
         if self.best_x is None or self.best_f < (self.inst.W + 1) // 2:
             raise ContractViolationError("best makespan fell below W/2; accounting is broken")
         if self.evals > self.budget:
@@ -158,8 +172,7 @@ def _climb(
     p, W = led.inst.p, led.inst.W
     bits, load2 = x.bits, x.load2
     fx = x.makespan
-    made: list[int] = []
-    keep = made.append
+    keep = led.made.append
     while led.evals < seg_end:
         for _, flips in zip(range(min(seg_end - led.evals, _CHUNK)), offspring):
             if not flips:  # the parent itself: charged, not computed
@@ -178,11 +191,10 @@ def _climb(
                 if fy < fx:
                     fx = fy
                     x.load1, x.load2 = l1, l2
-                    led.charge(made)
                     led.improved(x, fx)
                     if led.reason is not None:
                         return
-        led.charge(made)
+        led.charge()
     x.load1, x.load2 = W - load2, load2
 
 
@@ -235,9 +247,8 @@ def run_ia_hyp(
     x = led.start()
     p, W, n, bits = inst.p, inst.W, inst.n, x.bits
     fx, load2 = x.makespan, x.load2
-    made: list[int] = []
-    left = led.budget - led.evals
-    if led.reason is None and left:
+    made, left = led.made, led.left
+    if left:
         for order in walk_orders(n, led.rng):
             if left < n:
                 order = order[:left]
@@ -248,7 +259,6 @@ def run_ia_hyp(
             if fy < fx:
                 fx = fy
                 x.load1, x.load2 = W - load2, load2
-                led.charge(made)
                 led.improved(x, fx)
                 if led.reason is not None:
                     break
@@ -259,9 +269,8 @@ def run_ia_hyp(
             if not left:
                 break
             if len(made) >= _CHUNK:
-                led.charge(made)
+                led.charge()
     x.load1, x.load2 = W - load2, load2
-    led.charge(made)
     return led.result()
 
 
@@ -300,19 +309,17 @@ def run_mu_ea_ageing(
     inserted = 0
     gen = 0
     first_birth = 0  # no individual was born before this
-    made: list[int] = []
-    keep = made.append
+    keep = led.made.append
 
     def refill() -> None:
         nonlocal inserted
-        led.charge(made)
-        while len(population) < mu and led.running:
+        while len(population) < mu and led.left:
             x = led.start()
             inserted += 1
             insort(population, (x.makespan, inserted, gen, x))
 
     refill()
-    left = led.budget - led.evals if led.reason is None else 0
+    left = led.left
     picks, offspring = stream.draws(mu), stream.sbm_offspring()
     # the population holds mu at the top of every generation
     while left:
@@ -331,7 +338,6 @@ def run_mu_ea_ageing(
                 y = Assignment(bits[:], l1, l2)
                 for i in flips:
                     y.bits[i] ^= 1
-                led.charge(made)
                 led.improved(y, fy)
                 if led.reason is not None:
                     left = 0
@@ -342,8 +348,7 @@ def run_mu_ea_ageing(
                 population[:] = [ind for ind in population if gen - ind[2] < tau]
                 first_birth = min([ind[2] for ind in population], default=gen)
                 if not population and not lives:
-                    led.charge(made)
-                    led.log.append((led.evals, "reinit"))
+                    led.event("reinit")
             if lives and len(population) == mu:
                 # one of the mu + 1 goes: uniform among the worst, the child last
                 last = population[-1][0]
@@ -364,10 +369,10 @@ def run_mu_ea_ageing(
                 insort(population, (fy, inserted, born, y))
             if len(population) < mu:
                 refill()
-                left = led.budget - led.evals if led.reason is None else 0
+                left = led.left
             if not left:
                 break
-        led.charge(made)
+        led.charge()
     return led.result(ageing=True)
 
 
@@ -395,11 +400,9 @@ def run_with_restarts(
     led = _Ledger(inst, stop, seed, optimum, record_trace)
     stream = MutationStream(led.rng, inst.n)
     offspring = stream.sbm_offspring() if algo == "ea" else stream.one_flips()
-    while led.running:
-        if led.evals > 0:
-            led.log.append((led.evals + 1, "restart"))
+    while led.left:
         seg_end = min(led.budget, led.evals + restart_length)
-        x = led.start()
+        x = led.start("restart" if led.evals else None)
         if led.reason is None:
             _climb(led, x, offspring, seg_end)
     return led.result()

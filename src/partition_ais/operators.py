@@ -165,9 +165,9 @@ class MutationStream:
     the trial's generator when first needed and again whenever it runs out;
     none is sized by a budget, so the draws of a trial do not depend on its
     length. `blocks[k]` holds the draws below k not yet handed out, the next
-    one last: a runner's loop pops them itself, refilling an empty block with
-    `block(k)`, and `below`, `draws`, `one_flips` and `sbm_offspring` hand
-    them out in the same order.
+    one last, so a draw below k is the next pop of `block(k)`: a runner's
+    loop pops them itself, refilling an empty block with `block(k)`, and
+    `draws`, `one_flips` and `sbm_offspring` hand them out in the same order.
     """
 
     def __init__(self, rng: Rng, n: int) -> None:
@@ -187,12 +187,8 @@ class MutationStream:
             block = self.blocks[k] = self._draw_block(k)
         return block
 
-    def below(self, k: int) -> int:
-        """A uniform integer in [0, k)."""
-        return self.block(k).pop()
-
     def draws(self, k: int) -> Iterator[int]:
-        """Endless uniform integers in [0, k): the values of successive below(k)."""
+        """Endless uniform integers in [0, k): successive pops of block(k)."""
         while True:
             block = self.block(k)
             while block:

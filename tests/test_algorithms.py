@@ -157,6 +157,32 @@ def test_restart_segments_are_logged():
     assert [idx for idx, _ in restarts] == [11, 21, 31, 41, 51, 61, 71, 81, 91]
 
 
+def test_ledger_charges_pending_makespans_before_every_event():
+    # makespans 5 (both jobs on one machine) and 3 (the optimum)
+    led = algorithms._Ledger(Instance(p=(3, 2)), StopCondition(10, target_makespan=3), 0, None, True)
+    led.made += [5, 3]
+    assert (led.evals, led.trace, led.left) == (0, [], 8)
+    led.event("reinit")
+    assert (led.evals, led.trace, led.log) == (2, [5, 3], [(2, "reinit")])
+    led.made += [3, 5]
+    led.improved(Assignment([1, 1], 0, 5), 5)
+    assert (led.evals, led.trace, led.left) == (4, [5, 3, 3, 5], 6)
+    led.made.append(3)
+    led.improved(Assignment([0, 1], 3, 2), 3)  # locally optimal, meets the target
+    assert led.log[-1] == (5, "local_optimum") and led.reason == "target"
+    led.made.append(5)
+    assert led.left == 0
+    r = led.result()
+    assert r.evaluations_used == 6 and r.fitness_trace == (5, 3, 3, 5, 3, 5)
+    # with one job every start is locally optimal: its restart comes first,
+    # at the start's own evaluation
+    led = algorithms._Ledger(Instance(p=(5,)), StopCondition(10), 0, None, True)
+    led.made += [5, 5]
+    led.start("restart")
+    assert led.log == [(3, "restart"), (3, "local_optimum")]
+    assert (led.evals, led.trace, led.left) == (3, [5, 5, 5], 7)
+
+
 def test_restart_wrapper_validation():
     with pytest.raises(ContractViolationError):
         run_with_restarts("iahyp", G8, 10, StopCondition(100), 0)
