@@ -14,7 +14,6 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterator, Sequence
@@ -306,6 +305,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         step = math.ceil(config.trials / (_CHUNKS_PER_WORKER * workers))
         starts = range(0, config.trials, step)
         stops = [min(a + step, config.trials) for a in starts]
+        # imported here: it loads multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(chain.from_iterable(pool.map(
                 _execute_range, repeat(resolved), starts, stops,

@@ -18,6 +18,7 @@ from .core import Assignment, ContractViolationError, Instance
 _DP_CELL_LIMIT = 1_000_000_000
 _ENUM_N_LIMIT = 24
 _INT64_LIMIT = 1 << 62
+_SHIFTS = tuple(map(np.uint64, range(64)))  # uint64 counts: no int64 operand
 
 
 class CapacityError(RuntimeError):
@@ -35,35 +36,75 @@ class LocalOptimaSummary:
         return sum(1 for v in self.distinct_makespans if v > threshold)
 
 
-def _forward(inst: Instance, k: int) -> tuple[int, int, list[int]]:
-    """Subset-sum reachability over loads 0..W/2: the last bitset row (bit j
-    says some subset reaches load j), the number of jobs read, and the row
-    before every k-th job. The pass stops at the first job after which bit
-    W/2 is set: that split is perfect and no later job can improve it, so
-    random instances with n well above log2(p_max) read only a prefix of p.
+def _or_shifted(row: np.ndarray, t: int, tmp: np.ndarray) -> None:
+    """row |= row << t on uint64 words, in place; bits shifted past the last
+    word are dropped. tmp is scratch of shape (2, >= len(row))."""
+    q, r = divmod(t, 64)
+    m = len(row) - q
+    if m <= 0:
+        return
+    src, dst = row[:m], row[q:]
+    if r == 0:
+        np.copyto(tmp[0, :m], src)
+        dst |= tmp[0, :m]
+        return
+    low, carry = tmp[0, :m], tmp[1, :m - 1]
+    np.left_shift(src, _SHIFTS[r], out=low)
+    np.right_shift(src[:-1], _SHIFTS[64 - r], out=carry)
+    dst |= low
+    dst[1:] |= carry
+
+
+def _forward(inst: Instance, k: int) -> tuple[np.ndarray, int, list[np.ndarray]]:
+    """Subset-sum reachability over loads 0..W/2: the last row as uint64 words
+    (bit j of word w says some subset reaches load 64*w + j), the number of
+    jobs read, and the live words of the row before every k-th job. Each job
+    updates the row in place, on the words up to the sum of the jobs read so
+    far; the words above it are still zero. Bits above W/2 in the top word
+    are never read as loads, and shifts only move them further up.
+
+    The pass stops at the first job after which bit W/2 is set: that split is
+    perfect and no later job can improve it, so random instances with n well
+    above log2(p_max) read only a prefix of p.
     """
     cells = inst.n * inst.W
     if cells > _DP_CELL_LIMIT:
         raise CapacityError(
             f"dp table would need {cells} cells; the limit is {_DP_CELL_LIMIT}"
         )
-    half = inst.W // 2
-    mask = (1 << (half + 1)) - 1
-    reach, checkpoints = 1, []
+    half_word, half_bit = divmod(inst.W // 2, 64)
+    words = half_word + 1
+    row = np.zeros(words, dtype=np.uint64)
+    row[0] = 1
+    tmp = np.empty((2, words), dtype=np.uint64)
+    total, top, checkpoints = 0, 1, []
     for i, t in enumerate(inst.p):
         if i % k == 0:
-            checkpoints.append(reach)
-        reach = (reach | (reach << t)) & mask
-        if reach.bit_length() > half:
-            return reach, i + 1, checkpoints
-    return reach, inst.n, checkpoints
+            checkpoints.append(row[:top].copy())
+        total += t
+        top = min(total // 64 + 1, words)
+        _or_shifted(row[:top], t, tmp)
+        if int(row[half_word]) >> half_bit & 1:
+            return row, i + 1, checkpoints
+    return row, inst.n, checkpoints
+
+
+def _best_load(row: np.ndarray, half: int) -> int:
+    """The highest reachable load at most half, read from the word row."""
+    w, b = divmod(half, 64)
+    word = int(row[w]) & ((2 << b) - 1)
+    if not word:
+        # bit 0 is always set, so a lower word is nonzero
+        w -= 1 + int(np.argmax(row[:w][::-1] != 0))
+        word = int(row[w])
+    return 64 * w + word.bit_length() - 1
 
 
 def dp_optimal_makespan(inst: Instance) -> int:
     """Exact optimum by subset-sum reachability: the best half-load is the
-    highest reachable bit of the forward pass's last row."""
-    reach, _, _ = _forward(inst, inst.n)
-    return inst.W - (reach.bit_length() - 1)
+    highest reachable bit at most W/2 of the forward pass's last row."""
+    row, _, _ = _forward(inst, inst.n)
+    return inst.W - _best_load(row, inst.W // 2)
 
 
 def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
@@ -71,13 +112,16 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
 
     The forward pass keeps every k-th row, k = isqrt(n) (the checkpointing of
     reverse-mode differentiation), so about 2*sqrt(n) rows are ever held. The
-    walk back recomputes one segment at a time from its checkpoint, over the
-    bits [load - sum(jobs[:-1]), load] of the segment's jobs, shifted down to
-    bit 0. Row i tests a bit at or above load - sum(p[i+1:end]) and adds
-    p[start:i] to the checkpoint, so it reads checkpoint bits from
-    load - sum(jobs) + p[i] up; jobs are non-increasing, so p[i] >= jobs[-1]
-    and those bits lie in the window. The walk tests the same bits as one over
-    all n+1 rows, and finds the same witness.
+    walk back recomputes one segment at a time from its checkpoint, on the
+    words that hold the bits [lo, load], lo = load - sum(jobs[:-1]): the
+    window starts at bit base, lo rounded down to a multiple of 64, and the
+    bits below base are dropped. Row i tests a bit at or above
+    load - sum(p[i+1:end]) and adds p[start:i] to the checkpoint, so it reads
+    checkpoint bits from load - sum(jobs) + p[i] up; jobs are non-increasing,
+    so p[i] >= jobs[-1] and those bits lie at or above lo >= base. Every
+    tested bit therefore reads only checkpoint bits the window holds, and is
+    the bit of the full row. The walk tests the same bits as one over all n+1
+    rows, and finds the same witness.
 
     The forward pass stops at the first job after which bit W/2 is set, and
     the walk starts there: every later row holds bit W/2 as well, so the walk
@@ -85,19 +129,23 @@ def dp_optimal_assignment(inst: Instance) -> tuple[int, Assignment]:
     """
     p, n = inst.p, inst.n
     k = isqrt(n)
-    reach, used, checkpoints = _forward(inst, k)
-    load = reach.bit_length() - 1
+    row, used, checkpoints = _forward(inst, k)
+    load = _best_load(row, inst.W // 2)
     best = inst.W - load
     bits = [0] * n
     for start in reversed(range(0, used, k)):
         jobs = p[start:min(start + k, used)]
-        lo = max(0, load - sum(jobs[:-1]))
-        window = (1 << (load - lo + 1)) - 1
-        rows = [(checkpoints.pop() >> lo) & window]
+        base = max(0, load - sum(jobs[:-1])) // 64
+        window = np.zeros(load // 64 + 1 - base, dtype=np.uint64)
+        live = checkpoints.pop()[base:base + len(window)]
+        window[:len(live)] = live
+        tmp = np.empty((2, len(window)), dtype=np.uint64)
+        rows = [window]
         for t in jobs[:-1]:
-            rows.append((rows[-1] | (rows[-1] << t)) & window)
+            rows.append(rows[-1].copy())
+            _or_shifted(rows[-1], t, tmp)
         for i in reversed(range(start, start + len(jobs))):
-            if (rows.pop() >> (load - lo)) & 1:
+            if int(rows.pop()[load // 64 - base]) >> (load & 63) & 1:
                 continue
             bits[i] = 1
             load -= p[i]

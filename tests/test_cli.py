@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -381,7 +382,7 @@ def test_bad_batch_values_fail_before_any_output(monkeypatch, capsys, source, fl
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, stdout, stderr = _run(capsys, source + [
         "--s", "2", "--eps", "1/4", "--budget", "100", "--trials", "4", "--threads", "2",
     ] + flags)
@@ -457,7 +458,7 @@ class _InlinePool:
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_worker_processes_are_capped_at_the_cpu_count(monkeypatch, capsys, command):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     source = (
         ["run", "--family", "gstar", "--n", "8"] if command == "run"
@@ -834,7 +835,9 @@ def _src_env():
 def test_cli_import_does_not_load_scipy():
     subprocess.run(
         [sys.executable, "-c",
-         "import partition_ais.cli, sys; assert 'scipy' not in sys.modules"],
+         "import partition_ais.cli, sys\n"
+         "for name in ('scipy', 'concurrent.futures', 'multiprocessing'):\n"
+         "    assert name not in sys.modules, name"],
         env=_src_env(), check=True,
     )
 

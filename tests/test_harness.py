@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 from dataclasses import replace
@@ -116,7 +117,7 @@ def test_negative_master_seed_is_rejected_before_any_pool(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ContractViolationError, match="seeds and indices must be non-negative"):
         run_experiment(_config(master_seed=-1, workers=3))
 
@@ -203,7 +204,7 @@ class _RecordingPool:
 
 def test_worker_processes_are_capped_in_the_harness(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "calls", [])
     assert harness.pool_size(1000, 37) == 3
     assert harness.pool_size(2, 37) == 2

@@ -154,6 +154,36 @@ def test_dp_assignment_witness_matches_stored_rows_backtrack():
         assert witness.bits == ref_witness.bits
 
 
+def _word_boundary_instances():
+    """Rows held as 64-bit words: jobs at and around word multiples, W/2 at
+    and around a word's last and first bit, and an instance with no perfect
+    split near the n*W guard (49 multiples of 4 and a 2, so W = 2 (mod 4))."""
+    insts = []
+    for t in (63, 64, 65, 127, 128, 129, 4096):
+        for count in (1, 2, 3, 5, 8, 40):
+            insts.append(Instance(p=(t,) * count))
+        insts.append(Instance(p=(4096, t, t, t, 1)))
+    insts.append(Instance(p=(4096, 129, 128, 127, 65, 64, 63)))
+    for half in (63, 64, 127, 128, 129):
+        for W in (2 * half, 2 * half + 1):
+            for a in (1, 2, half - 1, half):
+                insts.append(Instance(p=(W - a, a)))
+                for b in (1, a // 2 + 1):
+                    insts.append(Instance(p=tuple(sorted((W - a - b, a, b), reverse=True))))
+    insts.append(Instance(p=tuple(4 * (63_000 + 61 * j) for j in reversed(range(49))) + (2,)))
+    return insts
+
+
+def test_dp_word_boundaries_match_stored_rows_backtrack():
+    insts = _word_boundary_instances()
+    assert insts[-1].n * insts[-1].W > 6 * 10**8
+    for inst in insts:
+        value, witness = dp_optimal_assignment(inst)
+        ref_value, ref_witness = _stored_rows_assignment(inst)
+        assert value == ref_value == dp_optimal_makespan(inst)
+        assert witness.bits == ref_witness.bits
+
+
 @pytest.mark.parametrize("n,max_p", [(50, 80_000), (200, 20_000)])
 def test_dp_assignment_memory_stays_near_sqrt_n_rows(n, max_p):
     inst = gen_uniform(n, max_p, 7)
