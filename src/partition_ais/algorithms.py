@@ -18,6 +18,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -287,11 +288,13 @@ def run_mu_ea_ageing(
     """Population of mu with ageing: stale individuals die at age tau.
 
     Generation order is fixed: ages increment first, then one offspring is
-    bred and evaluated, then age removals, then truncation of one worst if
-    oversized, then refills to mu with fresh random individuals. An offspring
-    strictly better than its parent starts at age 0, otherwise it inherits
-    the parent's age. When age removal empties the whole population, that is
-    a reinitialization event.
+    bred and evaluated, then age removals. The offspring then joins unless it
+    is too old or worse than a full population's worst; if the population
+    holds mu + 1, one of its worst goes, chosen uniformly. Refills bring it
+    back to mu with fresh random individuals. An offspring strictly better
+    than its parent starts at age 0, otherwise it inherits the parent's age.
+    When age removal empties the whole population, that is a
+    reinitialization event.
     """
     if mu < 1:
         raise ContractViolationError("mu must be at least 1")
@@ -301,22 +304,20 @@ def run_mu_ea_ageing(
     p, W = inst.p, inst.W
     stream = MutationStream(led.rng, inst.n)
     blocks = stream.blocks
-    # an individual is (fitness, insertion number, birth generation,
-    # assignment), kept sorted so the worst are last and, among equals, the
-    # latest inserted; its age in generation g is g minus its birth, so ages
-    # need no per-generation update
-    population: list[tuple[int, int, int, Assignment]] = []
-    inserted = 0
+    # an individual is (fitness, birth generation, assignment), kept sorted by
+    # fitness with each newcomer after its equals, so the worst are last and,
+    # among equals, the latest to join; its age in generation g is g minus
+    # its birth, so ages need no per-generation update
+    population: list[tuple[int, int, Assignment]] = []
+    fitness = itemgetter(0)
     gen = 0
     first_birth = 0  # no individual was born before this
     keep = led.made.append
 
     def refill() -> None:
-        nonlocal inserted
         while len(population) < mu and led.left:
             x = led.start()
-            inserted += 1
-            insort(population, (x.makespan, inserted, gen, x))
+            insort(population, (x.makespan, gen, x), key=fitness)
 
     refill()
     left = led.left
@@ -325,7 +326,7 @@ def run_mu_ea_ageing(
     while left:
         for _, pick, flips in zip(range(_CHUNK), picks, offspring):
             gen += 1
-            fp, _, bp, xp = population[pick]
+            fp, bp, xp = population[pick]
             bits, l2 = xp.bits, xp.load2
             for i in flips:
                 l2 += -p[i] if bits[i] else p[i]
@@ -333,40 +334,29 @@ def run_mu_ea_ageing(
             fy = l1 if l1 > l2 else l2  # builtin max costs more than the rest
             keep(fy)
             left -= 1
-            y = xp  # the child shares its parent's assignment until it is kept
-            if fy < led.best_f:
-                y = Assignment(bits[:], l1, l2)
+            born = gen if fy < fp else bp
+            if gen - first_birth >= tau:
+                population[:] = [ind for ind in population if gen - ind[1] < tau]
+                first_birth = min([ind[1] for ind in population], default=gen)
+                if not population and gen - born >= tau:
+                    led.event("reinit")
+            # a child that beats best-so-far is below every individual and of
+            # age 0, so it always joins
+            if gen - born < tau and (len(population) < mu or fy <= population[-1][0]):
+                y = Assignment(bits[:], l1, l2) if flips else xp  # never changed in place
                 for i in flips:
                     y.bits[i] ^= 1
-                led.improved(y, fy)
-                if led.reason is not None:
-                    left = 0
-                    break
-            born = gen if fy < fp else bp
-            lives = gen - born < tau
-            if gen - first_birth >= tau:
-                population[:] = [ind for ind in population if gen - ind[2] < tau]
-                first_birth = min([ind[2] for ind in population], default=gen)
-                if not population and not lives:
-                    led.event("reinit")
-            if lives and len(population) == mu:
-                # one of the mu + 1 goes: uniform among the worst, the child last
-                last = population[-1][0]
-                worst = last if last > fy else fy
-                lo = bisect_left(population, (worst,))
-                ties = mu - lo + (fy == worst)
-                j = lo + (blocks.get(ties) or stream.block(ties)).pop() if ties > 1 else lo
-                if j == mu:
-                    lives = False
-                else:
+                insort(population, (fy, born, y), key=fitness)
+                if fy < led.best_f:
+                    led.improved(y, fy)
+                    if led.reason is not None:
+                        left = 0
+                        break
+                if len(population) > mu:
+                    lo = bisect_left(population, population[-1][0], key=fitness)
+                    ties = mu + 1 - lo
+                    j = lo + (blocks.get(ties) or stream.block(ties)).pop() if ties > 1 else lo
                     population.pop(j)
-            if lives:
-                if y is xp and flips:
-                    y = Assignment(bits[:], l1, l2)
-                    for i in flips:
-                        y.bits[i] ^= 1
-                inserted += 1
-                insort(population, (fy, inserted, born, y))
             if len(population) < mu:
                 refill()
                 left = led.left

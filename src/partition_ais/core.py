@@ -6,6 +6,7 @@ semantics are exact at any magnitude the generators allow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 _W_LIMIT = 1 << 128
@@ -30,10 +31,11 @@ class InstanceMeta:
 class Instance:
     """Positive processing times sorted non-increasing.
 
-    W is the exact total load; construction fails loudly if it does not fit
-    in 128 bits, so downstream accumulators never overflow silently. n and W
-    are plain attributes set once, since the runner loops read them per
-    evaluation.
+    Each time is stored as a plain int (numpy integers are converted, any
+    other number is rejected) and p as a tuple. W is the exact total load;
+    construction fails loudly if it does not fit in 128 bits, so downstream
+    accumulators never overflow silently. n and W are plain attributes set
+    once, since the runner loops read them per evaluation.
     """
 
     p: tuple[int, ...]
@@ -42,6 +44,10 @@ class Instance:
     W: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "p", tuple(map(operator.index, self.p)))
+        except TypeError:
+            raise ContractViolationError("processing times must be positive integers") from None
         if len(self.p) < 1:
             raise ContractViolationError("instance must have at least one job")
         if any(t < 1 for t in self.p):

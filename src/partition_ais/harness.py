@@ -16,6 +16,7 @@ import os
 import statistics
 from dataclasses import dataclass, replace
 from itertools import chain, cycle, islice, repeat
+from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -169,11 +170,15 @@ def check_batch_parameters(
         raise ContractViolationError(
             "restart algorithms need restart_length (--restart-len), and only they take it"
         )
-    for name, value, flag in (
+    counts = (
         ("mu", mu, "--mu"), ("tau", tau, "--tau"),
         ("restart_length", restart_length, "--restart-len"),
         ("trials", trials, "--trials"), ("workers", workers, "--threads"),
-    ):
+    )
+    for name, value, flag in counts + (("master_seed", master_seed, "--seed"),):
+        if value is not None and not isinstance(value, Integral):
+            raise ContractViolationError(f"{name} must be an integer ({flag})")
+    for name, value, flag in counts:
         if value is not None and value < 1:
             raise ContractViolationError(f"{name} must be at least 1 ({flag})")
     if master_seed < 0:
@@ -208,8 +213,15 @@ class ExperimentConfig:
         )
         if self.optimum_source not in ("dp", "provided", "none"):
             raise ContractViolationError(f"unknown optimum source {self.optimum_source!r}")
-        if self.optimum_source == "provided" and self.optimum is None:
-            raise ContractViolationError("optimum_source 'provided' needs an optimum value")
+        if self.optimum_source == "provided":
+            if self.optimum is None:
+                raise ContractViolationError("optimum_source 'provided' needs an optimum value")
+            floor = max(self.instance.p[0], (self.instance.W + 1) // 2)
+            if self.optimum < floor:
+                raise ContractViolationError(
+                    f"optimum {self.optimum} is below max(p[0], ceil(W/2)) = {floor}; "
+                    "no split reaches it"
+                )
         if self.stop.target_ratio is not None and self.optimum_source == "none":
             raise ContractViolationError("target_ratio requires a known optimum")
 

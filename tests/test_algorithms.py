@@ -398,6 +398,8 @@ _PINNED_RESULTS = {
     "ageing mu=1 tau=4": "44285c5e688c70b6",
     "ageing mu=3 tau=7": "d3c1159bb1abd64e",
     "ageing mu=5 tau=182": "4db796a0466c8f9c",
+    "ageing mu=4 tau=1": "65cb88878be729d3",
+    "ageing mu=8 tau=3": "7fa1eeaeb9c4fe99",
     "ea-restart 1": "45cdf9b33bc8c859",
     "ea-restart 7": "8bd9c32795fa596f",
     "ea-restart 242": "c59f6775dc0a2731",
@@ -411,7 +413,7 @@ def _pinned_runners():
     yield "rls", run_rls
     yield "ea", run_one_one_ea
     yield "iahyp", run_ia_hyp
-    for mu, tau in ((1, 4), (3, 7), (5, 182)):
+    for mu, tau in ((1, 4), (3, 7), (5, 182), (4, 1), (8, 3)):
         yield f"ageing mu={mu} tau={tau}", (
             lambda inst, stop, seed, mu=mu, tau=tau, **kw:
             run_mu_ea_ageing(inst, mu, tau, stop, seed, **kw))

@@ -8,9 +8,13 @@ import pytest
 from partition_ais import (
     Assignment,
     ContractViolationError,
+    GStarParams,
     Instance,
     InstanceMeta,
+    dp_optimal_makespan,
     flip_in_place,
+    g_star_local_optima,
+    gen_g_star,
     is_local_optimum,
     makespan,
 )
@@ -48,6 +52,21 @@ def test_instance_rejects_unsorted():
 def test_instance_rejects_overflowing_total():
     with pytest.raises(ContractViolationError):
         Instance(p=(1 << 128, 1))
+
+
+def test_instance_keeps_its_times_as_plain_ints_in_a_tuple():
+    big = Instance(p=(np.int64(2**62),) * 2)
+    assert big.W == 2**63 and {type(t) for t in big.p} == {int}
+    from_array = Instance(p=tuple(np.array([5, 3, 2])))
+    assert from_array == Instance(p=(5, 3, 2)) and dp_optimal_makespan(from_array) == 5
+    listed = Instance(p=[3, 2, 1])
+    assert listed.p == (3, 2, 1) and hash(listed) == hash(Instance(p=(3, 2, 1)))
+    gstar = gen_g_star(GStarParams(8, 2, (1, 4)))
+    tagged = Instance(p=list(gstar.p), meta=gstar.meta)
+    assert g_star_local_optima(tagged) == g_star_local_optima(gstar)
+    for p in ((2.5, 1), ("3", "2"), 3):
+        with pytest.raises(ContractViolationError):
+            Instance(p=p)
 
 
 def test_from_bits_computes_loads():

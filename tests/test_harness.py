@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -383,6 +384,24 @@ def test_config_validation():
         _config(stop=StopCondition(100, target_ratio=Fraction(5, 4)), optimum_source="none")
     with pytest.raises(ContractViolationError, match="tau must be at least 1"):
         _config(algorithm="ageing", tau=0)
+    # counts and seeds must be integers; none is rounded
+    for bad, message in (
+        (dict(trials=2.5), "trials must be an integer (--trials)"),
+        (dict(master_seed=1.5), "master_seed must be an integer (--seed)"),
+        (dict(workers=1.5), "workers must be an integer (--threads)"),
+        (dict(algorithm="ageing", mu=1.5, tau=3), "mu must be an integer (--mu)"),
+        (dict(algorithm="ageing", tau=1.5), "tau must be an integer (--tau)"),
+        (dict(algorithm="ea-restart", restart_length=1.5),
+         "restart_length must be an integer (--restart-len)"),
+    ):
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            _config(**bad)
+    # an optimum below max(p[0], ceil(W/2)) is one no split reaches
+    floor = max(G8.p[0], (G8.W + 1) // 2)
+    for optimum in (0, floor - 1):
+        with pytest.raises(ContractViolationError, match="no split reaches it"):
+            _config(optimum_source="provided", optimum=optimum)
+    assert _config(optimum_source="provided", optimum=floor).optimum == floor
     with pytest.raises(ContractViolationError):
         export_report(run_experiment(_config(trials=1)), "xml", "/tmp/x")
 
