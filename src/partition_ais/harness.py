@@ -14,8 +14,9 @@ import json
 import math
 import os
 import statistics
+import time
 from dataclasses import dataclass, replace
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat, takewhile
 from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
@@ -299,37 +300,64 @@ def _execute_range(config: ExperimentConfig, start: int, stop: int) -> list[Tria
 # Contiguous trial ranges per worker; more than one evens out uneven trials.
 _CHUNKS_PER_WORKER = 4
 
+# Seconds of trials a batch of more than _CHUNKS_PER_WORKER trials per worker
+# runs in the calling process before it starts a pool for the rest. Measured
+# on a shared 2-vCPU host (Python 3.11, numpy 2.4): a fresh two-process pool
+# costs 8-17 ms to start and stop, pickling 2000 iahyp results and their tasks
+# costs 15-32 ms, and the second vCPU is often taken by other tenants (two
+# trial loops side by side each got about half a CPU in 3 of 4 tries). Under a
+# quarter second of work a pool cannot save more than it costs. The clock is
+# read between trials, so a longer batch loses at most the budget plus the
+# trial in flight, times (1 - 1/workers), and at two workers that trial is at
+# most a ninth of the batch. A batch of fewer trials, each a range of its
+# own, goes to the pool from its first trial: there one trial run first in
+# process could double the batch's time (two long trials at two workers).
+_IN_PROCESS_S = 0.25
+
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute all trials. A "dp" optimum is resolved once, before any trial, into
-    the copy of the config that the trials and the summary read."""
+    the copy of the config that the trials and the summary read.
+
+    With one worker, trials run in order in this process. With more, a batch
+    of at most _CHUNKS_PER_WORKER trials per worker goes to a pool; a larger
+    one runs in this process until _IN_PROCESS_S seconds have passed, and a
+    pool runs the trials left if more than one is left."""
     resolved = config
     if config.optimum_source == "dp":
         optimum = dp_optimal_makespan(config.instance)
         resolved = replace(config, optimum_source="provided", optimum=optimum)
     elif config.optimum_source == "none":  # an optimum given with "none" is not used
         resolved = replace(config, optimum=None)
+    seeds: Iterator[_TrialSeed] = _trial_seeds(config.master_seed, 0, config.trials)
     workers = pool_size(config.workers, config.trials)
     if workers > 1:
+        clock = time.perf_counter
+        few = config.trials <= _CHUNKS_PER_WORKER * workers
+        deadline = clock() + (0 if few else _IN_PROCESS_S)
+        seeds = takewhile(lambda _: clock() < deadline, seeds)
+    results = [_execute_trial(resolved, seed) for seed in seeds]
+    rest = range(len(results), config.trials)
+    workers = pool_size(config.workers, len(rest))
+    if workers == 1:  # the one trial left is not worth a pool
+        results += _execute_range(resolved, rest.start, rest.stop)
+    elif rest:
         # One task per range of trials, not per trial: the config and the
         # instance are pickled once per range, each worker seeds its own
         # ranges, and results keep trial order.
-        step = math.ceil(config.trials / (_CHUNKS_PER_WORKER * workers))
-        starts = range(0, config.trials, step)
-        stops = [min(a + step, config.trials) for a in starts]
+        starts = rest[::math.ceil(len(rest) / (_CHUNKS_PER_WORKER * workers))]
+        stops = [*starts[1:], config.trials]
         # imported here: it loads multiprocessing, socket and logging
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(chain.from_iterable(pool.map(
+            results.extend(chain.from_iterable(pool.map(
                 _execute_range, repeat(resolved), starts, stops,
             )))
-    else:
-        results = tuple(_execute_range(resolved, 0, config.trials))
     return AggregateReport(
         config=config,
         optimum=resolved.optimum,
-        results=results,
+        results=tuple(results),
         summary=_summarize(resolved, results),
     )
 

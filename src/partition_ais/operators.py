@@ -108,7 +108,9 @@ def flip_orders(n: int, rng: Rng, walks: int) -> np.ndarray:
     rng.permutation(n) calls do, so row i is the order of the i-th of that
     many hypermutation_full_trajectory walks.
     """
-    return rng.permuted(np.broadcast_to(np.arange(n), (walks, n)), axis=1)
+    # permuted in place: a broadcast view would cost as much again as the draw
+    block = np.arange(n)[None].repeat(walks, 0)
+    return rng.permuted(block, axis=1, out=block)
 
 
 # Entries of one block of walk_orders, which bounds a block to about 0.2 MB

@@ -455,6 +455,7 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
+@pytest.mark.usefixtures("pool_from_the_first_trial")
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_worker_processes_are_capped_at_the_cpu_count(monkeypatch, capsys, command):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)

@@ -8,6 +8,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,6 +107,7 @@ def test_every_trial_is_reproduced_by_its_runner(algorithm, extra):
         assert direct == r
 
 
+@pytest.mark.usefixtures("pool_from_the_first_trial")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_results_carry_plain_int_seeds(monkeypatch, workers):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -141,6 +143,7 @@ def test_repeat_runs_write_identical_csv_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.usefixtures("pool_from_the_first_trial")
 def test_parallel_workers_do_not_change_results():
     serial = run_experiment(_config(trials=6, workers=1))
     parallel = run_experiment(_config(trials=6, workers=3))
@@ -158,6 +161,7 @@ def _results_and_bytes(config: ExperimentConfig, tmp_path) -> tuple:
     return report.results, report.summary, blobs
 
 
+@pytest.mark.usefixtures("pool_from_the_first_trial")
 @pytest.mark.parametrize("algorithm, extra", [
     ("iahyp", {}),
     ("ageing", {"mu": 3, "tau": 20}),
@@ -176,6 +180,7 @@ def test_worker_count_does_not_change_results_or_bytes(monkeypatch, tmp_path, al
         assert parallel == serial
 
 
+@pytest.mark.usefixtures("pool_from_the_first_trial")
 def test_fewer_trials_than_workers(monkeypatch, tmp_path):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     serial = _results_and_bytes(_config(trials=2, workers=1), tmp_path)
@@ -203,6 +208,7 @@ class _RecordingPool:
         return (fn(*t) for t in tasks)
 
 
+@pytest.mark.usefixtures("pool_from_the_first_trial")
 def test_worker_processes_are_capped_in_the_harness(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
@@ -223,6 +229,67 @@ def test_worker_processes_are_capped_in_the_harness(monkeypatch):
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert harness.pool_size(1000, 37) == 1
+
+
+def test_a_batch_under_the_budget_starts_no_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # a clock that stands still: the budget never passes, however slow the host
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    serial = run_experiment(_config(algorithm="iahyp", trials=37, workers=1))
+    two = run_experiment(_config(algorithm="iahyp", trials=37, workers=2))
+    assert two.results == serial.results
+    assert two.summary == serial.summary
+
+
+@pytest.mark.parametrize("k", [0, 1, 9, 35, 36])
+def test_the_pool_gets_the_trials_left_once_the_budget_has_passed(monkeypatch, k):
+    # each trial advances a stand-in clock by a second, so the budget of
+    # k - 1/2 seconds has passed once trials 0..k-1 have run
+    now = [0.0]
+    execute_trial = harness._execute_trial
+
+    def one_second_trial(config, seed):
+        now[0] += 1
+        return execute_trial(config, seed)
+
+    serial = run_experiment(_config(trials=37))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_execute_trial", one_second_trial)
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(harness, "_IN_PROCESS_S", k - 0.5)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    report = run_experiment(_config(trials=37, workers=2))
+    assert report.results == serial.results
+    assert report.summary == serial.summary
+    # two workers, each handed about four contiguous ranges of trials k..36;
+    # the one trial left after 36 runs in process
+    step = -(-(37 - k) // 8)
+    ranges = [(a, min(a + step, 37)) for a in range(k, 37, step)]
+    assert _RecordingPool.calls == ([(2, 1, ranges)] if k < 36 else [])
+
+
+@pytest.mark.parametrize("trials, ranges", [
+    (2, [(0, 1), (1, 2)]),
+    (8, [(i, i + 1) for i in range(8)]),
+    (9, None),
+])
+def test_a_few_trials_per_worker_go_to_the_pool_from_the_first(monkeypatch, trials, ranges):
+    # up to four trials per worker, each its own range, start no in-process
+    # phase: on a clock that stands still, a larger batch starts no pool
+    serial = run_experiment(_config(trials=trials))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    report = run_experiment(_config(trials=trials, workers=2))
+    assert report.results == serial.results
+    assert report.summary == serial.summary
+    assert _RecordingPool.calls == ([(2, 1, ranges)] if ranges else [])
 
 
 def test_csv_round_trip(tmp_path):
