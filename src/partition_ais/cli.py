@@ -292,8 +292,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ("family", "gstar"), ("n_list", ",".join(str(n) for n in n_list)),
         ("s", args.s), ("eps", f"{q}/{r}"), ("scale", args.scale),
     ] + _batch_pairs(args, target, workers)))
-    if not n_list:
-        return 0
     reports = [run_experiment(config) for config in configs]
     for n, rep in zip(n_list, reports):
         summary = " ".join(f"{k}={_fmt(v)}" for k, v in rep.summary.items())

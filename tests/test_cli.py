@@ -507,14 +507,21 @@ def test_sweep_prints_one_line_per_size(capsys):
     assert any(l.startswith("n=12 optimum=120") for l in lines)
 
 
-def test_sweep_with_empty_n_list_is_a_no_op(capsys):
-    code, stdout, _ = _run(capsys, [
-        "sweep", "--n-list", "", "--s", "2", "--eps", "1/4",
-        "--algo", "rls", "--budget", "100",
-    ])
-    assert code == 0
-    assert stdout.startswith("config: command=sweep")
-    assert not [l for l in stdout.splitlines() if l.startswith("n=")]
+def test_sweep_with_empty_n_list_is_a_no_op(tmp_path, capsys):
+    for n_list in ("", ","):
+        argv = ["sweep", "--n-list", n_list, "--s", "2", "--eps", "1/4", "--algo", "rls",
+                "--budget", "100"]
+        code, stdout, _ = _run(capsys, argv)
+        assert code == 0
+        assert stdout.startswith("config: command=sweep")
+        assert not [l for l in stdout.splitlines() if l.startswith("n=")]
+        # --out still gets a file of its format, with no rows
+        for fmt, text in (("csv", ",".join(harness.CSV_COLUMNS) + "\n"),
+                          ("json", '{\n  "sweeps": []\n}\n')):
+            out = tmp_path / f"empty.{fmt}"
+            code, _, _ = _run(capsys, argv + ["--format", fmt, "--out", str(out)])
+            assert code == 0
+            assert out.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("n_list", ["8", "8,12"])
@@ -566,6 +573,15 @@ def test_budget_only_batch_on_a_dp_infeasible_size(tmp_path, capsys, command):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 2
     assert all(row.split(",")[9:11] == ["", ""] for row in rows)
+    # the same batch as JSON: null cells, in the bytes json.dumps writes
+    out = tmp_path / "rows.json"
+    code, _, stderr = _run(capsys, argv + ["--no-target", "--format", "json", "--out", str(out)])
+    assert (code, stderr) == (0, "")
+    data = out.read_bytes()
+    payload = json.loads(data)
+    trials = payload["trials"] if command == "run" else payload["sweeps"][0]["trials"]
+    assert [(row["optimum"], row["ratio"]) for row in trials] == [(None, None)] * 2
+    assert data == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
     code, stdout, stderr = _run(capsys, argv)
     assert code == 2

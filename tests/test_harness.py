@@ -6,6 +6,7 @@ import concurrent.futures
 import csv
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,9 +25,12 @@ from partition_ais import (
     dp_optimal_makespan,
     enumerate_local_optima,
     export_report,
+    export_sweep,
     gen_g_star,
     gen_uniform,
     is_local_optimum,
+    read_instance,
+    report_rows,
     run_experiment,
     run_ia_hyp,
     run_mu_ea_ageing,
@@ -339,6 +343,69 @@ def test_ratio_and_optimum_cells_empty_without_optimum(tmp_path):
     assert all(row["ratio"] == "" and row["optimum"] == "" for row in rows)
 
 
+def test_json_exports_are_the_bytes_of_json_dumps_with_indent_2(tmp_path):
+    """Both exports write their JSON row by row, and the bytes are those of
+    json.dumps(payload, indent=2) plus a line break: with null cells, a family
+    that is not ASCII, an empty sweep and a sweep of several sizes."""
+    source = tmp_path / "inst.txt"
+    source.write_text(
+        "partition v1\nn=6\nmeta=f\u00e4hre-\u2202\n41\n41\n12\n10\n9\n5\n", encoding="utf-8"
+    )
+    # no optimum: null optimum, ratio, mu, tau and reinit_count cells, and
+    # null summary values
+    foreign = run_experiment(_config(
+        instance=read_instance(str(source)), stop=StopCondition(50), optimum_source="none",
+    ))
+    ageing = run_experiment(_config(algorithm="ageing", mu=3, tau=20))
+    sizes = [
+        run_experiment(_config(
+            instance=gen_g_star(GStarParams(n=n, s=2, eps=(1, 4))), stop=StopCondition(300),
+        ))
+        for n in (8, 12)
+    ]
+    path = tmp_path / "out.json"
+
+    def dumped(payload) -> bytes:
+        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+    for report in (foreign, ageing, *sizes):
+        export_report(report, "json", str(path))
+        assert path.read_bytes() == dumped(
+            {"trials": report_rows(report), "summary": report.summary}
+        )
+    for reports in ([], [foreign], [ageing, *sizes]):
+        export_sweep(reports, "json", str(path))
+        assert path.read_bytes() == dumped({"sweeps": [
+            {"n": r.config.instance.n, "optimum": r.optimum,
+             "trials": report_rows(r), "summary": r.summary}
+            for r in reports
+        ]})
+    export_report(foreign, "json", str(path))
+    text = path.read_text(encoding="utf-8")
+    assert '"family": "f\\u00e4hre-\\u2202",' in text
+    assert '"optimum": null,' in text and '"ratio_mean": null,' in text
+
+
+def test_export_memory_does_not_grow_with_the_trial_count(tmp_path):
+    """Exports write one row at a time: a report of 20,000 rows, the results
+    of one batch repeated, takes under 2 MB above the live report in either
+    format. A list of all rows alone takes about 10 MB, and the whole JSON
+    text about 53 MB."""
+    batch = run_experiment(_config(algorithm="ageing", mu=3, tau=20, stop=StopCondition(300)))
+    report = replace(batch, results=batch.results * 5000)
+    for fmt, row_mark in (("csv", ",ageing,"), ("json", '"trial": ')):
+        path = tmp_path / f"rows.{fmt}"
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            export_report(report, fmt, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live < 2_000_000, (fmt, peak - live)
+        assert path.read_text().count(row_mark) == 20_000
+
+
 def test_success_rate_semantics():
     with_target = run_experiment(_config(trials=10))
     hits = sum(r.terminated_by == "target" for r in with_target.results)
@@ -431,7 +498,7 @@ def test_stuck_rate_leaves_out_trials_cut_short_mid_climb():
     assert report.summary["stuck_rate"] == 0.14
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ContractViolationError):
         run_experiment(_config(trials=0))
     with pytest.raises(ContractViolationError):
@@ -469,8 +536,12 @@ def test_config_validation():
         with pytest.raises(ContractViolationError, match="no split reaches it"):
             _config(optimum_source="provided", optimum=optimum)
     assert _config(optimum_source="provided", optimum=floor).optimum == floor
-    with pytest.raises(ContractViolationError):
-        export_report(run_experiment(_config(trials=1)), "xml", "/tmp/x")
+    # an unknown export format fails before the file is opened
+    kept = tmp_path / "kept.xml"
+    kept.write_bytes(b"earlier bytes\n")
+    with pytest.raises(ContractViolationError, match="unknown export format 'xml'"):
+        export_report(run_experiment(_config(trials=1)), "xml", str(kept))
+    assert kept.read_bytes() == b"earlier bytes\n"
 
 
 def test_oracle_capacity_surfaces_before_any_trial():
